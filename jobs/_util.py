@@ -1,13 +1,11 @@
-"""Shared spark-submit plumbing for the experiment jobs.
+"""Shared spark-submit plumbing for the jobs in this directory.
 
-Each ``jobs/<name>.py`` wraps a function from
-:mod:`repro.harness.experiments`; run them with ``spark-submit`` or plain
-``python`` (a local session is created either way).
+Run them with ``spark-submit`` or plain ``python``; a local session is
+created either way.
 """
 from __future__ import annotations
 
 import os
-import sys
 
 from pyspark.sql import SparkSession
 
@@ -26,17 +24,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-
-
-def main_for(exp_name: str) -> None:
-    """Run one experiment by name and print its markdown table."""
-    from repro.harness.experiments import ALL_EXPERIMENTS
-    from repro.harness.reporting import to_markdown
-
-    spark = get_spark(exp_name)
-    try:
-        points = ALL_EXPERIMENTS[exp_name](spark)
-        print(to_markdown(points, exp_name))
-    finally:
-        spark.stop()
-    sys.stdout.flush()

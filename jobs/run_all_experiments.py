@@ -1,8 +1,11 @@
-"""Run every evaluation experiment (E1-E6, paper Figures 5-10) and write
-the result tables to ``experiments_results.md`` — the measured numbers
+"""Run the evaluation experiments (E1-E6, paper Figures 5-10) and write
+their result tables to ``experiments_results.md`` — the measured numbers
 recorded in EXPERIMENTS.md come from this job.
 
-Usage: ``spark-submit jobs/run_all_experiments.py [output.md]``
+Usage: ``spark-submit jobs/run_all_experiments.py [output.md] [NAME ...]``
+
+With no NAME every experiment runs; otherwise only the named ones (e.g.
+``E3-any-all``). Each experiment also writes ``<output>.<NAME>.csv``.
 """
 import pathlib
 import sys
@@ -15,13 +18,13 @@ from repro.harness.reporting import to_markdown
 from repro.harness.runner import points_to_pdf
 
 
-def main(out_path: str) -> None:
+def main(out_path: str, names: list[str]) -> None:
     spark = get_spark("run-all-experiments")
     sections = []
     try:
-        for name, fn in ALL_EXPERIMENTS.items():
+        for name in names:
             print(f"=== {name} ===", flush=True)
-            points = fn(spark)
+            points = ALL_EXPERIMENTS[name](spark)
             md = to_markdown(points, name)
             print(md, flush=True)
             sections.append(md)
@@ -37,4 +40,11 @@ def main(out_path: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "experiments_results.md")
+    args = sys.argv[1:]
+    out = "experiments_results.md"
+    if args and args[0] not in ALL_EXPERIMENTS:
+        out = args.pop(0)
+    unknown = [a for a in args if a not in ALL_EXPERIMENTS]
+    if unknown:
+        sys.exit(f"unknown experiment(s) {unknown}; choose from {list(ALL_EXPERIMENTS)}")
+    main(out, args or list(ALL_EXPERIMENTS))

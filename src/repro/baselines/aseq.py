@@ -21,8 +21,6 @@ the same aggregation functions on its supported query class.
 """
 from __future__ import annotations
 
-import time
-
 from repro.core.aggregates import (
     apply_event_slots,
     finalize_slots,
@@ -56,7 +54,6 @@ def run_aseq(
         raise ValueError("A-Seq supports skip-till-any-match only")
     if cq.adjacent_predicates:
         raise ValueError("A-Seq does not support predicates on adjacent events")
-    t0 = time.perf_counter()
     budget = budget or Budget()
     meter = StateMeter()
     an = cq.analysis
@@ -134,7 +131,6 @@ def run_aseq(
             aggregates={s.name: None for s in specs},
             events_processed=n,
             peak_state_bytes=meter.peak,
-            kernel_seconds=time.perf_counter() - t0,
             dnf=True,
         )
 
@@ -149,5 +145,4 @@ def run_aseq(
         aggregates=finalize_slots(specs, final_slots, final_count),
         events_processed=n,
         peak_state_bytes=meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
     )

@@ -14,8 +14,6 @@ the total size of all stored sequences.
 """
 from __future__ import annotations
 
-import time
-
 from repro.baselines.trend_agg import TrendAccumulator
 from repro.core.events import Event
 from repro.core.granularity import Semantics
@@ -140,7 +138,6 @@ def run_flink_like(
     """
     if cq.semantics is Semantics.NEXT:
         raise ValueError("Flink baseline does not support skip-till-next-match")
-    t0 = time.perf_counter()
     budget = budget or Budget()
     meter = StateMeter()
     an = cq.analysis
@@ -170,7 +167,6 @@ def run_flink_like(
             aggregates={s.name: None for s in cq.specs},
             events_processed=n,
             peak_state_bytes=meter.peak,
-            kernel_seconds=time.perf_counter() - t0,
             dnf=True,
             trends_constructed=len(stored),
         )
@@ -181,6 +177,5 @@ def run_flink_like(
         aggregates=acc.result(),
         events_processed=n,
         peak_state_bytes=meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
         trends_constructed=len(stored),
     )

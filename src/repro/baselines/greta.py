@@ -9,8 +9,6 @@ the finest granularity, which Cogra's Table-4 selection improves on.
 """
 from __future__ import annotations
 
-import time
-
 from repro.core.aggregates import (
     apply_event_slots,
     finalize_slots,
@@ -41,7 +39,6 @@ def run_greta(
     """Event-grained online aggregation over one substream (ANY only)."""
     if cq.semantics is not Semantics.ANY:
         raise ValueError("GRETA supports skip-till-any-match only")
-    t0 = time.perf_counter()
     budget = budget or Budget()
     meter = StateMeter()
     an = cq.analysis
@@ -88,12 +85,10 @@ def run_greta(
             aggregates={s.name: None for s in specs},
             events_processed=n,
             peak_state_bytes=meter.peak,
-            kernel_seconds=time.perf_counter() - t0,
             dnf=True,
         )
     return KernelResult(
         aggregates=finalize_slots(specs, final_slots, final_count),
         events_processed=n,
         peak_state_bytes=meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
     )

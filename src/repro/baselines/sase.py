@@ -19,8 +19,6 @@ paper's "fails to terminate" outcomes become DNF rows instead of hangs.
 """
 from __future__ import annotations
 
-import time
-
 from repro.baselines.trend_agg import TrendAccumulator
 from repro.core.events import Event
 from repro.core.granularity import Semantics
@@ -154,7 +152,6 @@ def run_sase(
     budget: Budget | None = None,
 ) -> KernelResult:
     """Two-step SASE over one substream; DNF on budget exhaustion."""
-    t0 = time.perf_counter()
     budget = budget or Budget()
     meter = StateMeter()
     acc = TrendAccumulator(cq.specs)
@@ -169,7 +166,6 @@ def run_sase(
             aggregates={s.name: None for s in cq.specs},
             events_processed=n,
             peak_state_bytes=meter.peak,
-            kernel_seconds=time.perf_counter() - t0,
             dnf=True,
             trends_constructed=budget.units,
         )
@@ -177,6 +173,5 @@ def run_sase(
         aggregates=acc.result(),
         events_processed=n,
         peak_state_bytes=meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
         trends_constructed=n_trends,
     )

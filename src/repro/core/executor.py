@@ -1,28 +1,26 @@
-"""Runtime Executor dispatch (paper Figure 3).
+"""Runtime Executor (paper Figure 3).
 
-``aggregate_substream`` routes one time-ordered substream to the
-granularity-appropriate Cogra aggregator chosen by the Static Query
-Analyzer (Table 4). This is the kernel the Spark runner invokes once per
-(group, window) partition.
+``make_aggregator`` builds the granularity-appropriate Cogra aggregator
+chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
+time-ordered substream. This is the only event loop of Cogra: the batch
+kernel (``aggregate_substream``, once per (group, window) partition) and
+the Structured Streaming runner (once per key and micro-batch) both run it.
+
+Every aggregator implements the same protocol: ``update(etype, attrs)``
+returns the event's e.count (None if unmatched), ``result()`` finalizes
+the aggregates, ``events_processed`` and ``meter`` (a
+:class:`~repro.harness.metrics.StateMeter`) report its work and state, and
+``trace_row(etype, e_count)`` gives its paper-trace columns (Tables 5-7).
 """
 from __future__ import annotations
 
 from repro.core.events import Event
 from repro.core.granularity import Granularity
-from repro.core.mixed_grained import MixedGrainedAggregator, aggregate_mixed_grained
-from repro.core.pattern_grained import (
-    PatternGrainedAggregator,
-    aggregate_pattern_grained,
-)
+from repro.core.mixed_grained import MixedGrainedAggregator
+from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.core.query import CompiledQuery
-from repro.core.type_grained import TypeGrainedAggregator, aggregate_type_grained
+from repro.core.type_grained import TypeGrainedAggregator
 from repro.harness.metrics import KernelResult
-
-_KERNELS = {
-    Granularity.TYPE: aggregate_type_grained,
-    Granularity.MIXED: aggregate_mixed_grained,
-    Granularity.PATTERN: aggregate_pattern_grained,
-}
 
 _AGGREGATORS = {
     Granularity.TYPE: TypeGrainedAggregator,
@@ -32,9 +30,31 @@ _AGGREGATORS = {
 
 
 def make_aggregator(cq: CompiledQuery, *, exact: bool = True):
-    """Fresh incremental aggregator at the query's selected granularity —
-    the per-key state object of the Structured Streaming runner."""
+    """Fresh incremental aggregator at the query's selected granularity.
+
+    ``exact=True`` keeps counts as Python ints (arbitrary precision, used
+    by correctness tests); ``exact=False`` uses float64 like the paper's
+    fixed-width Java arithmetic (used by benchmarks — see DESIGN.md).
+    """
     return _AGGREGATORS[cq.granularity](cq, exact=exact)
+
+
+def fold(agg, events: list[Event], trace: list | None = None):
+    """Feed time-ordered ``events`` into ``agg`` and return it.
+
+    ``trace`` (optional) receives one dict per event the aggregator
+    reports, reproducing the paper's Tables 5-7.
+    """
+    if trace is None:
+        update = agg.update
+        for e in events:
+            update(e.etype, e.attrs)
+        return agg
+    for e in events:
+        row = agg.trace_row(e.etype, agg.update(e.etype, e.attrs))
+        if row is not None:
+            trace.append({"etype": e.etype, "time": e.time, **row})
+    return agg
 
 
 def aggregate_substream(
@@ -46,4 +66,9 @@ def aggregate_substream(
 ) -> KernelResult:
     """Incrementally aggregate the trends of one substream with the
     coarsest-granularity Cogra aggregator selected for the query."""
-    return _KERNELS[cq.granularity](events, cq, exact=exact, trace=trace)
+    agg = fold(make_aggregator(cq, exact=exact), events, trace)
+    return KernelResult(
+        aggregates=agg.result(),
+        events_processed=agg.events_processed,
+        peak_state_bytes=agg.meter.peak,
+    )

@@ -15,23 +15,15 @@ Time O(n*(t + n_e)), space Theta(t + n_e) (Theorems 5.2-5.3).
 """
 from __future__ import annotations
 
-import time
-
 from repro.core.aggregates import (
     apply_event_slots,
     finalize_slots,
     init_slots,
     merge_slots,
 )
-from repro.core.events import Event
 from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
-from repro.harness.metrics import (
-    BYTES_PER_AGG,
-    BYTES_PER_EVENT,
-    KernelResult,
-    StateMeter,
-)
+from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
 
 
 class MixedGrainedAggregator:
@@ -41,23 +33,24 @@ class MixedGrainedAggregator:
     def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
         self.cq = cq
         self.specs = cq.specs
-        self.exact = exact
+        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         self.preds = cq.adjacent_predicates
         an = cq.analysis
         self.start, self.end = an.start, an.end
         self.pred_types = {t: tuple(s) for t, s in an.pred_types.items()}
-        zero = 0 if exact else 0.0
         t_event = cq.event_grained_types  # T_e (Lines 3-4: removed from H)
         # H: type-grained store over T_t (Lines 1-2).
         self.H: dict[str, list] = {
-            t: [zero, *init_slots(self.specs)] for t in an.types if t not in t_event
+            t: [self.zero, *init_slots(self.specs)]
+            for t in an.types
+            if t not in t_event
         }
         # V: stored events per event-grained type: list of
         # (attrs, count, slots) in arrival order (Lines 9-10).
         self.V: dict[str, list] = {t: [] for t in t_event}
         # Separate final accumulator, used when end(P) is event-grained
         # (Lines 14, 16).
-        self.final = [zero, *init_slots(self.specs)]
+        self.final = [self.zero, *init_slots(self.specs)]
         self.events_processed = 0
         self.meter = StateMeter()
         self.meter.add((len(self.H) + 1) * (1 + len(self.specs)) * BYTES_PER_AGG)
@@ -70,9 +63,7 @@ class MixedGrainedAggregator:
         self.events_processed += 1
         specs = self.specs
         nslots = len(specs)
-        e_count = (1 if self.exact else 1.0) if etype == self.start else (
-            0 if self.exact else 0.0
-        )
+        e_count = self.one if etype == self.start else self.zero
         slots = init_slots(specs)
         for ep in self.pred_types[etype]:
             node = self.H.get(ep)
@@ -101,52 +92,19 @@ class MixedGrainedAggregator:
                     self.final[i + 1] = specs[i].merge(self.final[i + 1], slots[i])
         return e_count
 
-    def type_count(self, etype: str):
+    def trace_row(self, etype: str, e_count):
+        """Table-6 columns after a matched event: e.count, the updated
+        count of its type (None if event-grained) and the final count."""
+        if e_count is None:
+            return None
         node = self.H.get(etype)
-        return None if node is None else node[0]
-
-    @property
-    def final_count(self):
-        if self.end in self.H:
-            return self.H[self.end][0]
-        return self.final[0]
+        return {
+            "e_count": e_count,
+            "type_count": None if node is None else node[0],
+            "final_count": self.H.get(self.end, self.final)[0],
+        }
 
     def result(self) -> dict:
         """Finalized aggregates (Lines 15-16)."""
-        if self.end in self.H:
-            end_node = self.H[self.end]
-            return finalize_slots(self.specs, end_node[1:], end_node[0])
-        return finalize_slots(self.specs, self.final[1:], self.final[0])
-
-
-def aggregate_mixed_grained(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    exact: bool = True,
-    trace: list | None = None,
-) -> KernelResult:
-    """One-shot Algorithm 2 over a time-ordered substream.
-
-    ``trace`` reproduces the paper's Table 6.
-    """
-    t0 = time.perf_counter()
-    agg = MixedGrainedAggregator(cq, exact=exact)
-    for e in events:
-        e_count = agg.update(e.etype, e.attrs)
-        if trace is not None and e_count is not None:
-            trace.append(
-                {
-                    "etype": e.etype,
-                    "time": e.time,
-                    "e_count": e_count,
-                    "type_count": agg.type_count(e.etype),
-                    "final_count": agg.final_count,
-                }
-            )
-    return KernelResult(
-        aggregates=agg.result(),
-        events_processed=agg.events_processed,
-        peak_state_bytes=agg.meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
-    )
+        end_node = self.H.get(self.end, self.final)
+        return finalize_slots(self.specs, end_node[1:], end_node[0])

@@ -14,19 +14,11 @@ CONT (the paper's c5 example). Time O(n), space O(1) (Theorems 6.3-6.4).
 """
 from __future__ import annotations
 
-import time
-
 from repro.core.aggregates import apply_event_slots, finalize_slots, init_slots
-from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
-from repro.harness.metrics import (
-    BYTES_PER_AGG,
-    BYTES_PER_EVENT,
-    KernelResult,
-    StateMeter,
-)
+from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
 
 
 class PatternGrainedAggregator:
@@ -38,19 +30,18 @@ class PatternGrainedAggregator:
             raise ValueError("pattern-grained aggregation requires NEXT or CONT")
         self.cq = cq
         self.specs = cq.specs
-        self.exact = exact
+        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         self.preds = cq.adjacent_predicates
         self.cont = cq.semantics is Semantics.CONT
         an = cq.analysis
         self.start, self.end = an.start, an.end
         self.pred_types = {t: tuple(s) for t, s in an.pred_types.items()}
-        zero = 0 if exact else 0.0
         # Line 1: e_l = null, counts = 0.
         self.el_type: str | None = None
         self.el_attrs: dict = {}
-        self.el_count = zero
+        self.el_count = self.zero
         self.el_slots = init_slots(self.specs)
-        self.final_count = zero
+        self.final_count = self.zero
         self.final_slots = init_slots(self.specs)
         self.events_processed = 0
         self.meter = StateMeter()
@@ -59,8 +50,7 @@ class PatternGrainedAggregator:
         )
 
     def _reset_partials(self) -> None:
-        zero = 0 if self.exact else 0.0
-        self.el_type, self.el_count = None, zero
+        self.el_type, self.el_count = None, self.zero
         self.el_slots = init_slots(self.specs)
 
     def update(self, etype: str, attrs: dict):
@@ -80,9 +70,9 @@ class PatternGrainedAggregator:
         )
         started = etype == self.start
         if started or adjacent:  # isMatched (Line 3)
-            one = 1 if self.exact else 1.0
-            zero = 0 if self.exact else 0.0
-            count = (one if started else zero) + (self.el_count if adjacent else zero)
+            count = self.one if started else self.zero
+            if adjacent:
+                count += self.el_count
             slots = list(self.el_slots) if adjacent else init_slots(specs)
             apply_event_slots(specs, slots, etype, attrs, count)
             if etype == self.end:  # Line 6
@@ -98,39 +88,11 @@ class PatternGrainedAggregator:
             self._reset_partials()
         return None
 
+    def trace_row(self, etype: str, e_count):
+        """Table-7 columns after every arriving event, matched or not: the
+        last matched event's count and the final count."""
+        return {"e_count": self.el_count, "final_count": self.final_count}
+
     def result(self) -> dict:
         """Finalized aggregates (Line 10)."""
         return finalize_slots(self.specs, self.final_slots, self.final_count)
-
-
-def aggregate_pattern_grained(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    exact: bool = True,
-    trace: list | None = None,
-) -> KernelResult:
-    """One-shot Algorithm 3 over a time-ordered substream.
-
-    ``trace`` reproduces the paper's Table 7 (one row per arriving event,
-    matched or not, with the running intermediate and final counts).
-    """
-    t0 = time.perf_counter()
-    agg = PatternGrainedAggregator(cq, exact=exact)
-    for e in events:
-        agg.update(e.etype, e.attrs)
-        if trace is not None:
-            trace.append(
-                {
-                    "etype": e.etype,
-                    "time": e.time,
-                    "e_count": agg.el_count,
-                    "final_count": agg.final_count,
-                }
-            )
-    return KernelResult(
-        aggregates=agg.result(),
-        events_processed=agg.events_processed,
-        peak_state_bytes=agg.meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
-    )

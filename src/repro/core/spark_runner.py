@@ -54,6 +54,18 @@ def local_filter_expr(cq: CompiledQuery) -> Column | None:
     return expr
 
 
+def prepare_input(df: DataFrame, cq: CompiledQuery) -> DataFrame:
+    """Local filter -> column select -> window explode: the relational
+    stages shared by the batch and the streaming runner."""
+    q = cq.query
+    flt = local_filter_expr(cq)
+    if flt is not None:
+        df = df.filter(flt)
+    keep = [*q.partition_by, q.time_col, q.type_col, *cq.attr_cols]
+    df = df.select(*dict.fromkeys(keep))  # dedup, keep order
+    return with_window_ids(df, q.window, q.time_col)
+
+
 def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
     """Output schema: partition keys + wid + one double per aggregate +
     kernel metrics."""
@@ -63,6 +75,29 @@ def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
     fields.extend(T.StructField(s.name, T.DoubleType()) for s in cq.specs)
     fields.extend(METRIC_FIELDS)
     return T.StructType(fields)
+
+
+def _as_double(v) -> float | None:
+    if v is None:
+        return None
+    # Exact ANY counts can exceed float64 range (2^n trends); saturate
+    # like the paper's fixed-width arithmetic would.
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
+def result_frame(
+    schema: T.StructType, key: tuple, aggregates: dict, **metrics
+) -> pd.DataFrame:
+    """One output row of ``schema``: the key columns, each aggregate as a
+    double, then the metric columns given by name."""
+    names = schema.fieldNames()
+    row = dict(zip(names, key))
+    row.update((name, _as_double(v)) for name, v in aggregates.items())
+    row.update(metrics)
+    return pd.DataFrame([row], columns=names)
 
 
 def run_query(
@@ -83,18 +118,9 @@ def run_query(
     unsupported combinations raise (checked by the registry).
     """
     cq = query.compile()
-    q = query
-    flt = local_filter_expr(cq)
-    if flt is not None:
-        df = df.filter(flt)
-    keep = [*q.partition_by, q.time_col, q.type_col, *cq.attr_cols]
-    df = df.select(*dict.fromkeys(keep))  # dedup, keep order
-    df = with_window_ids(df, q.window, q.time_col)
-
+    df = prepare_input(df, cq)
     schema = result_schema(df, cq)
-    key_cols = [*q.partition_by, "wid"]
-    out_cols = [f.name for f in schema.fields]
-    time_col, type_col, attr_cols = q.time_col, q.type_col, cq.attr_cols
+    time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         events = events_from_pandas(
@@ -108,23 +134,15 @@ def run_query(
             budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
             flatten_cap=flatten_cap,
         )
-        row = dict(zip(key_cols, key))
-        for s in cq.specs:
-            v = res.aggregates[s.name]
-            if v is None:
-                row[s.name] = None
-            else:
-                # Exact ANY counts can exceed float64 range (2^n trends);
-                # saturate like the paper's fixed-width arithmetic would.
-                try:
-                    row[s.name] = float(v)
-                except OverflowError:
-                    row[s.name] = math.inf
-        row["events"] = res.events_processed
-        row["peak_state_bytes"] = res.peak_state_bytes
-        row["kernel_seconds"] = res.kernel_seconds
-        row["dnf"] = res.dnf
-        row["trends_constructed"] = res.trends_constructed
-        return pd.DataFrame([{c: row[c] for c in out_cols}])
+        return result_frame(
+            schema,
+            key,
+            res.aggregates,
+            events=res.events_processed,
+            peak_state_bytes=res.peak_state_bytes,
+            kernel_seconds=res.kernel_seconds,
+            dnf=res.dnf,
+            trends_constructed=res.trends_constructed,
+        )
 
-    return df.groupBy(*key_cols).applyInPandas(kernel, schema=schema)
+    return df.groupBy(*query.partition_by, "wid").applyInPandas(kernel, schema=schema)

@@ -6,13 +6,17 @@ Structured Streaming's stateful aggregation operators: the keyed state per
 at the type granularity, O(1) at the pattern granularity — and each
 micro-batch folds its events into that state via
 ``applyInPandasWithState``. Aggregates are emitted in *update* mode after
-every micro-batch, mirroring the paper's per-slide outputs.
+every micro-batch, mirroring the paper's per-slide outputs. State has no
+timeout and is never evicted (ROADMAP item 2).
 
-Ordering: Definition-7 adjacency is order-sensitive. Events are sorted by
-timestamp inside each micro-batch, and micro-batches are assumed to arrive
-in time order per key (the paper makes the same in-order assumption via
-its time-driven scheduler, Section 8 — out-of-order handling a la
-watermarks is orthogonal to the contribution).
+The input and output paths are the batch runner's (``prepare_input``,
+``result_frame``) and the event loop is the executor's ``fold``.
+
+Ordering: Definition-7 adjacency is order-sensitive. All of a key's events
+in one micro-batch are sorted by timestamp together, and micro-batches are
+assumed to arrive in time order per key (the paper makes the same in-order
+assumption via its time-driven scheduler, Section 8 — out-of-order
+handling a la watermarks is orthogonal to the contribution).
 """
 from __future__ import annotations
 
@@ -24,19 +28,23 @@ from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
-from repro.core.executor import make_aggregator
+from repro.core import executor
+from repro.core.events import events_from_pandas
 from repro.core.query import Query
-from repro.core.spark_runner import local_filter_expr
-from repro.core.windows import with_window_ids
+from repro.core.spark_runner import (
+    METRIC_FIELDS,
+    prepare_input,
+    result_frame,
+    result_schema,
+)
+
+_BATCH_ONLY_METRICS = {f.name for f in METRIC_FIELDS} - {"events"}
 
 
 def streaming_result_schema(df: DataFrame, query: Query) -> T.StructType:
-    cq = query.compile()
-    fields = [df.schema[c] for c in query.partition_by]
-    fields.append(T.StructField("wid", T.LongType()))
-    fields.extend(T.StructField(s.name, T.DoubleType()) for s in cq.specs)
-    fields.append(T.StructField("events", T.LongType()))
-    return T.StructType(fields)
+    """The batch result schema with ``events`` as its only metric."""
+    fields = result_schema(df, query.compile()).fields
+    return T.StructType([f for f in fields if f.name not in _BATCH_ONLY_METRICS])
 
 
 _STATE_SCHEMA = T.StructType([T.StructField("blob", T.BinaryType())])
@@ -51,17 +59,9 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
     ``jobs/streaming_demo.py`` and ``tests/test_streaming.py``).
     """
     cq = query.compile()
-    flt = local_filter_expr(cq)
-    if flt is not None:
-        stream_df = stream_df.filter(flt)
-    keep = [*query.partition_by, query.time_col, query.type_col, *cq.attr_cols]
-    stream_df = stream_df.select(*dict.fromkeys(keep))
-    stream_df = with_window_ids(stream_df, query.window, query.time_col)
-
+    stream_df = prepare_input(stream_df, cq)
     out_schema = streaming_result_schema(stream_df, query)
-    key_cols = [*query.partition_by, "wid"]
     time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
-    spec_names = [s.name for s in cq.specs]
 
     def fold(
         key: Tuple[Any, ...],
@@ -71,26 +71,22 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
         if state.exists:
             agg = pickle.loads(state.get[0])
         else:
-            agg = make_aggregator(cq, exact=True)
-        for pdf in pdfs:
-            pdf = pdf.sort_values(time_col, kind="stable")
-            attr_iter = (
-                pdf[list(attr_cols)].to_dict("records")
-                if attr_cols
-                else ({} for _ in range(len(pdf)))
-            )
-            for etype, attrs in zip(pdf[type_col].to_numpy(), attr_iter):
-                agg.update(etype, attrs)
+            agg = executor.make_aggregator(cq, exact=True)
+        # Spark splits a key's micro-batch into Arrow-sized chunks; convert
+        # them as one substream so its events reach the fold in time order.
+        events = events_from_pandas(
+            pd.concat(pdfs, ignore_index=True),
+            time_col=time_col,
+            type_col=type_col,
+            attr_cols=attr_cols,
+        )
+        executor.fold(agg, events)
         state.update((pickle.dumps(agg),))
-        row = dict(zip(key_cols, key))
-        res = agg.result()
-        for name in spec_names:
-            v = res[name]
-            row[name] = None if v is None else float(v)
-        row["events"] = agg.events_processed
-        yield pd.DataFrame([{f.name: row[f.name] for f in out_schema.fields}])
+        yield result_frame(
+            out_schema, key, agg.result(), events=agg.events_processed
+        )
 
-    return stream_df.groupBy(*key_cols).applyInPandasWithState(
+    return stream_df.groupBy(*query.partition_by, "wid").applyInPandasWithState(
         fold,
         outputStructType=out_schema,
         stateStructType=_STATE_SCHEMA,

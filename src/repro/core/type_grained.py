@@ -13,13 +13,11 @@ and analogously for the other aggregation functions via the Table-8
 algebra in :mod:`repro.core.aggregates`. Events are discarded immediately;
 time O(n*l), space Theta(l) (Theorems 4.2-4.3).
 
-:class:`TypeGrainedAggregator` is the incremental form — a picklable
-object holding Theta(l) state, which is exactly what the Structured
-Streaming runner keeps per (group, window) key.
+:class:`TypeGrainedAggregator` is a picklable object holding Theta(l)
+state: the executor's ``fold`` feeds it one substream, and the Structured
+Streaming runner keeps one per (group, window) key.
 """
 from __future__ import annotations
-
-import time
 
 from repro.core.aggregates import (
     apply_event_slots,
@@ -27,9 +25,8 @@ from repro.core.aggregates import (
     init_slots,
     merge_slots,
 )
-from repro.core.events import Event
 from repro.core.query import CompiledQuery
-from repro.harness.metrics import BYTES_PER_AGG, KernelResult, StateMeter
+from repro.harness.metrics import BYTES_PER_AGG, StateMeter
 
 
 class TypeGrainedAggregator:
@@ -38,14 +35,13 @@ class TypeGrainedAggregator:
     def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
         self.cq = cq
         self.specs = cq.specs
-        self.exact = exact
+        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         an = cq.analysis
         self.start, self.end = an.start, an.end
         self.pred_types = {t: tuple(s) for t, s in an.pred_types.items()}
-        zero = 0 if exact else 0.0
         # H: type -> [count, slot_0, ..., slot_{k-1}]  (Lines 1-2 of Alg. 1)
         self.H: dict[str, list] = {
-            t: [zero, *init_slots(self.specs)] for t in an.types
+            t: [self.zero, *init_slots(self.specs)] for t in an.types
         }
         self.events_processed = 0
         self.meter = StateMeter()
@@ -58,9 +54,7 @@ class TypeGrainedAggregator:
             return None
         self.events_processed += 1
         specs = self.specs
-        e_count = (1 if self.exact else 1.0) if etype == self.start else (
-            0 if self.exact else 0.0
-        )
+        e_count = self.one if etype == self.start else self.zero
         slots = init_slots(specs)
         for ep in self.pred_types[etype]:
             node = self.H[ep]
@@ -74,46 +68,14 @@ class TypeGrainedAggregator:
             node[i + 1] = specs[i].merge(node[i + 1], slots[i])
         return e_count
 
-    def type_count(self, etype: str):
-        return self.H[etype][0]
+    def trace_row(self, etype: str, e_count):
+        """Table-5 columns after a matched event: e.count and the updated
+        count of its type."""
+        if e_count is None:
+            return None
+        return {"e_count": e_count, "type_count": self.H[etype][0]}
 
     def result(self) -> dict:
         """Finalized aggregates of the end type (Line 9)."""
         end_node = self.H[self.end]
         return finalize_slots(self.specs, end_node[1:], end_node[0])
-
-
-def aggregate_type_grained(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    exact: bool = True,
-    trace: list | None = None,
-) -> KernelResult:
-    """One-shot Algorithm 1 over a time-ordered substream.
-
-    ``exact=True`` keeps counts as Python ints (arbitrary precision, used
-    by correctness tests); ``exact=False`` uses float64 like the paper's
-    fixed-width Java arithmetic (used by benchmarks — see DESIGN.md).
-    ``trace`` (optional) receives one dict per matched event, reproducing
-    the paper's Table 5.
-    """
-    t0 = time.perf_counter()
-    agg = TypeGrainedAggregator(cq, exact=exact)
-    for e in events:
-        e_count = agg.update(e.etype, e.attrs)
-        if trace is not None and e_count is not None:
-            trace.append(
-                {
-                    "etype": e.etype,
-                    "time": e.time,
-                    "e_count": e_count,
-                    "type_count": agg.type_count(e.etype),
-                }
-            )
-    return KernelResult(
-        aggregates=agg.result(),
-        events_processed=agg.events_processed,
-        peak_state_bytes=agg.meter.peak,
-        kernel_seconds=time.perf_counter() - t0,
-    )

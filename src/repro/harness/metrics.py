@@ -87,6 +87,6 @@ class KernelResult:
     aggregates: dict = field(default_factory=dict)
     events_processed: int = 0
     peak_state_bytes: int = 0
-    kernel_seconds: float = 0.0
+    kernel_seconds: float = 0.0  # timed by registry.run_approach
     dnf: bool = False  # did-not-finish (budget exceeded)
     trends_constructed: int = 0  # two-step approaches only

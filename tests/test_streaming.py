@@ -117,3 +117,68 @@ def test_streaming_state_is_coarse(spark, tmp_path):
     # state holds no events — far below GRETA's n * 48B event store.
     assert grown < small + 2 * (n // 8 + 64)
     assert grown < n * 48 / 10
+
+
+def test_streaming_orders_events_across_arrow_chunks(spark, tmp_path):
+    """Spark hands a key's micro-batch to the state function in chunks of
+    ``maxRecordsPerBatch`` rows; the key's events must still reach the
+    aggregator in time order, so the result equals batch."""
+    g = np.random.default_rng(3)
+    n = 40
+    pdf = pd.DataFrame(
+        {
+            "time": np.arange(n, 0, -1),  # one file, reverse time order
+            "grp": np.zeros(n, dtype=np.int64),
+            "etype": np.repeat("M", n),
+            "v": g.integers(0, 10, n).astype("float64"),
+        }
+    )
+    query = Query(
+        pattern="M+",
+        semantics=Semantics.CONT,
+        aggregates=(Count(), Avg("M", "v")),
+        adjacent_predicates=(AdjacentPredicate("M", "v", "<", "M", "v"),),
+        partition_by=("grp",),
+    )
+    conf = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(conf)
+    spark.conf.set(conf, "4")
+    try:
+        stream_res = _run_streaming(spark, tmp_path, pdf, query, n_chunks=1)
+    finally:
+        spark.conf.set(conf, old)
+    batch_res = run_query(spark.createDataFrame(pdf), query).toPandas()
+    cols = ["grp", "wid", "count_star", "avg_M_v", "events"]
+    pd.testing.assert_frame_equal(
+        stream_res[cols].astype({"wid": "int64"}),
+        batch_res[cols].astype({"wid": "int64"}),
+        check_dtype=False,
+    )
+
+
+def test_streaming_count_overflow_matches_batch(spark, tmp_path):
+    """An exact ANY count beyond float64 range (2^1100 - 1 trends) must
+    not crash the streaming query; its row equals the batch row."""
+    n = 1100
+    pdf = pd.DataFrame(
+        {
+            "time": np.arange(1, n + 1),
+            "grp": np.zeros(n, dtype=np.int64),
+            "etype": np.repeat("M", n),
+            "v": np.ones(n),
+        }
+    )
+    query = Query(
+        pattern="M+",
+        semantics=Semantics.ANY,
+        aggregates=(Count(),),
+        partition_by=("grp",),
+    )
+    stream_res = _run_streaming(spark, tmp_path, pdf, query)
+    batch_res = run_query(spark.createDataFrame(pdf), query).toPandas()
+    cols = ["grp", "wid", "count_star", "events"]
+    pd.testing.assert_frame_equal(
+        stream_res[cols].astype({"wid": "int64"}),
+        batch_res[cols].astype({"wid": "int64"}),
+        check_dtype=False,
+    )
