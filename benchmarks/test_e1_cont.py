@@ -3,21 +3,10 @@ over the physical-activity stream — Flink vs SASE vs Cogra."""
 import pytest
 
 from benchmarks._common import run_all_substreams, substreams
-from repro.core.aggregates import Count
-from repro.core.granularity import Semantics
-from repro.core.predicates import AdjacentPredicate, LocalPredicate
-from repro.core.query import Query
+from repro.harness.experiments import Q1
 from repro.synth_data import activity_stream_pdf
 
 N = 20_000
-QUERY = Query(
-    pattern="M+",
-    semantics=Semantics.CONT,
-    aggregates=(Count(),),
-    adjacent_predicates=(AdjacentPredicate("M", "rate", "<", "M", "rate"),),
-    local_predicates=(LocalPredicate("activity", "<", 9, etype="M"),),
-    partition_by=("person",),
-)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +20,7 @@ def streams():
 def test_e1_cont(benchmark, streams, approach):
     total = benchmark.pedantic(
         run_all_substreams,
-        args=(streams, QUERY, approach),
+        args=(streams, Q1, approach),
         kwargs={"flatten_cap": 64},
         rounds=3, iterations=1, warmup_rounds=0,
     )

@@ -3,18 +3,10 @@ over the public-transportation stream — SASE vs Cogra."""
 import pytest
 
 from benchmarks._common import run_all_substreams, substreams
-from repro.core.aggregates import Count
-from repro.core.granularity import Semantics
-from repro.core.query import Query
+from repro.harness.experiments import Q2_NEXT
 from repro.synth_data import transport_stream_pdf
 
 N = 100_000
-QUERY = Query(
-    pattern="SEQ(Accept, (SEQ(Call, Cancel))+, Finish)",
-    semantics=Semantics.NEXT,
-    aggregates=(Count(),),
-    partition_by=("passenger",),
-)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +17,7 @@ def streams():
 @pytest.mark.parametrize("approach", ["sase", "cogra"])
 def test_e2_next(benchmark, streams, approach):
     total = benchmark.pedantic(
-        run_all_substreams, args=(streams, QUERY, approach),
+        run_all_substreams, args=(streams, Q2_NEXT, approach),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert total > 0

@@ -4,18 +4,11 @@ two-step approaches still terminate)."""
 import pytest
 
 from benchmarks._common import run_all_substreams, substreams
-from repro.core.aggregates import Avg, Count
-from repro.core.granularity import Semantics
-from repro.core.query import Query
+from repro.harness.experiments import stock_query
 from repro.synth_data import stock_stream_pdf
 
 N = 300
-QUERY = Query(
-    pattern="SEQ(D+, U)",
-    semantics=Semantics.ANY,
-    aggregates=(Count(), Avg("U", "price")),
-    partition_by=("sector", "company"),
-)
+QUERY = stock_query()
 
 
 @pytest.fixture(scope="module")

@@ -3,18 +3,11 @@ on a high-rate stock stream — GRETA vs A-Seq vs Cogra."""
 import pytest
 
 from benchmarks._common import run_all_substreams, substreams
-from repro.core.aggregates import Avg, Count
-from repro.core.granularity import Semantics
-from repro.core.query import Query
+from repro.harness.experiments import stock_query
 from repro.synth_data import stock_stream_pdf
 
 N = 10_000
-QUERY = Query(
-    pattern="SEQ(D+, U)",
-    semantics=Semantics.ANY,
-    aggregates=(Count(), Avg("U", "price")),
-    partition_by=("sector", "company"),
-)
+QUERY = stock_query()
 
 
 @pytest.fixture(scope="module")

@@ -4,26 +4,10 @@ Flink at the low-selectivity point where it still terminates."""
 import pytest
 
 from benchmarks._common import run_all_substreams, substreams
-from repro.core.aggregates import Avg, Count
-from repro.core.granularity import Semantics
-from repro.core.predicates import AdjacentPredicate
-from repro.core.query import Query
-from repro.synth_data import selectivity_offset, stock_stream_pdf
+from repro.harness.experiments import selectivity_query
+from repro.synth_data import stock_stream_pdf
 
 N = 1_000
-
-
-def query(sel: float) -> Query:
-    return Query(
-        pattern="SEQ(D+, U)",
-        semantics=Semantics.ANY,
-        aggregates=(Count(), Avg("U", "price")),
-        adjacent_predicates=(
-            AdjacentPredicate("D", "price", "<", "D", "price",
-                              offset=selectivity_offset(sel)),
-        ),
-        partition_by=("sector", "company"),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +19,7 @@ def streams():
 @pytest.mark.parametrize("approach", ["sase", "greta", "cogra"])
 def test_e5_selectivity_50(benchmark, streams, approach):
     total = benchmark.pedantic(
-        run_all_substreams, args=(streams, query(0.5), approach),
+        run_all_substreams, args=(streams, selectivity_query(0.5), approach),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert total > 0
@@ -43,7 +27,7 @@ def test_e5_selectivity_50(benchmark, streams, approach):
 
 def test_e5_selectivity_10_flink(benchmark, streams):
     total = benchmark.pedantic(
-        run_all_substreams, args=(streams, query(0.1), "flink"),
+        run_all_substreams, args=(streams, selectivity_query(0.1), "flink"),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert total > 0
@@ -54,7 +38,7 @@ def test_e5_selectivity_90(benchmark, streams, approach):
     """At 90% selectivity only the online approaches stay cheap; the paper
     reports Cogra 2x over GRETA here."""
     total = benchmark.pedantic(
-        run_all_substreams, args=(streams, query(0.9), approach),
+        run_all_substreams, args=(streams, selectivity_query(0.9), approach),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert total > 0

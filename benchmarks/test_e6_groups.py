@@ -4,18 +4,10 @@ online approaches at 5 groups (where they don't)."""
 import pytest
 
 from benchmarks._common import run_all_substreams, substreams
-from repro.core.aggregates import Count
-from repro.core.granularity import Semantics
-from repro.core.query import Query
+from repro.harness.experiments import Q2_ANY
 from repro.synth_data import transport_stream_pdf
 
 N = 900
-QUERY = Query(
-    pattern="SEQ(Accept, (SEQ(Call, Cancel))+, Finish)",
-    semantics=Semantics.ANY,
-    aggregates=(Count(),),
-    partition_by=("passenger",),
-)
 
 
 def streams_for(groups: int):
@@ -28,7 +20,7 @@ def streams_for(groups: int):
 def test_e6_groups_30(benchmark, approach):
     streams = streams_for(30)
     total = benchmark.pedantic(
-        run_all_substreams, args=(streams, QUERY, approach),
+        run_all_substreams, args=(streams, Q2_ANY, approach),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert total > 0
@@ -38,7 +30,7 @@ def test_e6_groups_30(benchmark, approach):
 def test_e6_groups_5_online(benchmark, approach):
     streams = streams_for(5)
     total = benchmark.pedantic(
-        run_all_substreams, args=(streams, QUERY, approach),
+        run_all_substreams, args=(streams, Q2_ANY, approach),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert total > 0

@@ -1,21 +1,16 @@
 """End-to-end Spark pipeline benchmark: the full Catalyst + applyInPandas
 executor (filter -> window explode -> partition -> Cogra kernel) on the
 stock workload with the paper's sliding-window shape."""
+from dataclasses import replace
+
 import pytest
 
-from repro.core.aggregates import Avg, Count
-from repro.core.granularity import Semantics
-from repro.core.query import Query, WindowSpec
+from repro.core.query import WindowSpec
 from repro.core.spark_runner import run_query
+from repro.harness.experiments import stock_query
 from repro.synth_data import stock_stream_pdf
 
-QUERY = Query(
-    pattern="SEQ(D+, U)",
-    semantics=Semantics.ANY,
-    aggregates=(Count(), Avg("U", "price")),
-    partition_by=("sector", "company"),
-    window=WindowSpec(size=2_000, slide=1_000),
-)
+QUERY = replace(stock_query(), window=WindowSpec(size=2_000, slide=1_000))
 
 
 @pytest.fixture(scope="module")

@@ -65,11 +65,6 @@ def run_aseq(
     n = len(relevant)
     max_len = n if flatten_cap is None else min(n, flatten_cap)
 
-    succ: dict[str, list[str]] = {t: [] for t in an.pred_types}
-    for t, ps in an.pred_types.items():
-        for p in ps:
-            succ[p].append(t)
-
     # Trie node: [etype, parent_index, count, slot_0..slot_{k-1}].
     # Node 0 is the virtual root (count 1: "one way to match nothing").
     CELL0 = 3  # offset of slot_0 within a node row
@@ -94,7 +89,7 @@ def run_aseq(
             nxt = []
             for pi in frontier:
                 ptype = nodes[pi][0]
-                for t in succ[ptype]:
+                for t in an.succ_types[ptype]:
                     ni = len(nodes)
                     nodes.append([t, pi, zero, *init_slots(specs)])
                     by_type[t].append(ni)

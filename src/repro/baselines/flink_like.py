@@ -33,10 +33,6 @@ def type_paths(cq: CompiledQuery, length: int, budget: Budget) -> list[tuple[str
     (paths start(P) -> end(P) in the FSA digraph) — the flattened
     fixed-length queries for that length."""
     an = cq.analysis
-    succ: dict[str, list[str]] = {t: [] for t in an.pred_types}
-    for t, ps in an.pred_types.items():
-        for p in ps:
-            succ[p].append(t)
     out: list[tuple[str, ...]] = []
     path = [an.start]
 
@@ -46,7 +42,7 @@ def type_paths(cq: CompiledQuery, length: int, budget: Budget) -> list[tuple[str
             if path[-1] == an.end:
                 out.append(tuple(path))
             return
-        for nxt in succ[path[-1]]:
+        for nxt in an.succ_types[path[-1]]:
             path.append(nxt)
             dfs()
             path.pop()

@@ -1,5 +1,6 @@
-"""Cogra core: pattern model, static query analysis, and the three
-coarse-grained incremental trend aggregators (paper Sections 3-6)."""
+"""Cogra core: pattern model, static query analysis, and the
+coarse-grained incremental trend aggregators of Algorithms 1-3 (paper
+Sections 3-6)."""
 
 from repro.core.pattern import Pattern, TypeP, Seq, Plus, parse_pattern
 from repro.core.fsa import PatternAnalysis, analyze

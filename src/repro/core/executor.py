@@ -19,11 +19,12 @@ from repro.core.granularity import Granularity
 from repro.core.mixed_grained import MixedGrainedAggregator
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.core.query import CompiledQuery
-from repro.core.type_grained import TypeGrainedAggregator
 from repro.harness.metrics import KernelResult
 
+# Algorithm 1 is Algorithm 2 with T_e empty, so TYPE and MIXED share one
+# class; the Table-4 granularity stays part of the static plan.
 _AGGREGATORS = {
-    Granularity.TYPE: TypeGrainedAggregator,
+    Granularity.TYPE: MixedGrainedAggregator,
     Granularity.MIXED: MixedGrainedAggregator,
     Granularity.PATTERN: PatternGrainedAggregator,
 }

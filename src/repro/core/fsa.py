@@ -51,6 +51,7 @@ class PatternAnalysis:
     end: str
     mid: frozenset[str]
     pred_types: dict[str, frozenset[str]]  # type -> predecessor types
+    succ_types: dict[str, tuple[str, ...]]  # type -> successor types
 
     @property
     def types(self) -> list[str]:
@@ -95,4 +96,7 @@ def analyze(p: Pattern) -> PatternAnalysis:
         end=end,
         mid=mid,
         pred_types={t: frozenset(s) for t, s in pred.items()},
+        succ_types={
+            t: tuple(u for u, ps in pred.items() if t in ps) for t in pred
+        },
     )

@@ -1,17 +1,27 @@
-"""Mixed-Grained Aggregator — Algorithm 2 (paper Section 5).
+"""Skip-till-any-match aggregator — Algorithms 1 and 2 (paper Sections 4-5).
 
-For skip-till-any-match queries *with* predicates on adjacent events, the
-pattern types are split into T_t (type-grained) and T_e (event-grained,
-Theorem 5.1): events whose type is the predicate-restricted predecessor of
-some transition must be stored so the predicate can be evaluated against
-future events; everything else stays one-aggregate-per-type.
+Under skip-till-any-match the pattern types are split into T_t
+(type-grained) and T_e (event-grained, Theorem 5.1): a type is
+event-grained iff it is the predicate-restricted predecessor of some
+transition, so its events must be stored to evaluate the predicate on
+adjacent events against future events; every other type keeps one
+aggregate per type.
 
     e.count = sum of E'.count          for type-grained predecessors E'
             + sum of e_p.count         for stored predecessor events e_p
                                        with (e_p, e) satisfying theta
             (+1 if E = start(P))
 
-Time O(n*(t + n_e)), space Theta(t + n_e) (Theorems 5.2-5.3).
+and analogously for the other aggregation functions via the Table-8
+algebra in :mod:`repro.core.aggregates`. Time O(n*(t + n_e)), space
+Theta(t + n_e) (Theorems 5.2-5.3).
+
+With no predicates on adjacent events T_e is empty and this is exactly
+Algorithm 1, the type-grained aggregator: every previously matched event
+of a predecessor type is adjacent (Definition 7), events are discarded
+immediately, the final count is end(P).count (Theorem 4.1), time is
+O(n*l) and space Theta(l) (Theorems 4.2-4.3). The executor therefore runs
+this one class for both the TYPE and the MIXED granularity of Table 4.
 """
 from __future__ import annotations
 
@@ -28,7 +38,8 @@ from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
 
 class MixedGrainedAggregator:
     """Incremental Algorithm 2: type-grained store H over T_t plus stored
-    events V for the predicate-restricted types T_e."""
+    events V for the predicate-restricted types T_e (Algorithm 1 when T_e
+    is empty)."""
 
     def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
         self.cq = cq
@@ -49,11 +60,13 @@ class MixedGrainedAggregator:
         # (attrs, count, slots) in arrival order (Lines 9-10).
         self.V: dict[str, list] = {t: [] for t in t_event}
         # Separate final accumulator, used when end(P) is event-grained
-        # (Lines 14, 16).
+        # (Lines 14, 16). It is metered only when T_e is non-empty, so the
+        # state of Algorithm 1 (T_e empty) is the Theta(l) store H alone.
         self.final = [self.zero, *init_slots(self.specs)]
         self.events_processed = 0
         self.meter = StateMeter()
-        self.meter.add((len(self.H) + 1) * (1 + len(self.specs)) * BYTES_PER_AGG)
+        nodes = len(self.H) + bool(t_event)
+        self.meter.add(nodes * (1 + len(self.specs)) * BYTES_PER_AGG)
 
     def update(self, etype: str, attrs: dict):
         """Process one event (Lines 5-14); returns its e.count, or None if

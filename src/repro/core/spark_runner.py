@@ -26,11 +26,10 @@ from pyspark.sql import types as T
 
 from repro.baselines.registry import run_approach
 from repro.core.events import events_from_pandas
+from repro.core.predicates import _OPS
 from repro.core.query import CompiledQuery, Query
 from repro.core.windows import with_window_ids
 from repro.harness.metrics import Budget
-
-_OP_TO_SQL = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "=", "!=": "<>"}
 
 METRIC_FIELDS = [
     T.StructField("events", T.LongType()),
@@ -47,7 +46,7 @@ def local_filter_expr(cq: CompiledQuery) -> Column | None:
     q = cq.query
     expr: Column | None = None
     for lp in q.local_predicates:
-        c = F.expr(f"`{lp.attr}` {_OP_TO_SQL[lp.op]} {lp.value!r}")
+        c = _OPS[lp.op](F.col(lp.attr), F.lit(lp.value))
         if lp.etype is not None:
             c = (F.col(q.type_col) != F.lit(lp.etype)) | c
         expr = c if expr is None else (expr & c)

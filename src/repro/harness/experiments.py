@@ -36,7 +36,49 @@ from repro.synth_data import (
     transport_stream_pdf,
 )
 
+# The experiment queries, shared with the pytest-benchmark suite.
+Q1 = Query(  # E1
+    pattern="M+",
+    semantics=Semantics.CONT,
+    aggregates=(Count(),),
+    adjacent_predicates=(AdjacentPredicate("M", "rate", "<", "M", "rate"),),
+    local_predicates=(LocalPredicate("activity", "<", 9, etype="M"),),
+    partition_by=("person",),
+)
+
 Q2_PATTERN = "SEQ(Accept, (SEQ(Call, Cancel))+, Finish)"
+Q2_NEXT = Query(  # E2
+    pattern=Q2_PATTERN,
+    semantics=Semantics.NEXT,
+    aggregates=(Count(),),
+    partition_by=("passenger",),
+)
+Q2_ANY = Query(  # E6
+    pattern=Q2_PATTERN,
+    semantics=Semantics.ANY,
+    aggregates=(Count(),),
+    partition_by=("passenger",),
+)
+
+
+def stock_query(preds: tuple = ()) -> Query:
+    """q3': down-trends followed by an up-tick per company."""
+    return Query(
+        pattern="SEQ(D+, U)",
+        semantics=Semantics.ANY,
+        aggregates=(Count(), Avg("U", "price")),
+        adjacent_predicates=preds,
+        partition_by=("sector", "company"),
+    )
+
+
+def selectivity_query(selectivity: float) -> Query:
+    """q3' with D.price < NEXT(D).price + c, c tuned so the pair
+    selectivity equals ``selectivity`` (§9.3)."""
+    return stock_query(
+        (AdjacentPredicate("D", "price", "<", "D", "price",
+                           offset=selectivity_offset(selectivity)),)
+    )
 
 
 def exp_cont(spark: SparkSession, *, xs=(1_000, 5_000, 20_000, 50_000),
@@ -46,21 +88,13 @@ def exp_cont(spark: SparkSession, *, xs=(1_000, 5_000, 20_000, 50_000),
     q1-style: contiguously increasing heart rate during passive activity,
     per person. Approaches with CONT support: Flink, SASE, Cogra.
     """
-    query = Query(
-        pattern="M+",
-        semantics=Semantics.CONT,
-        aggregates=(Count(),),
-        adjacent_predicates=(AdjacentPredicate("M", "rate", "<", "M", "rate"),),
-        local_predicates=(LocalPredicate("activity", "<", 9, etype="M"),),
-        partition_by=("person",),
-    )
     return run_sweep(
         spark,
         experiment="E1-cont",
         x_name="events",
         xs=list(xs),
         make_pdf=lambda n: activity_stream_pdf(n=n, seed=10),
-        make_query=lambda n: query,
+        make_query=lambda n: Q1,
         approaches=["flink", "sase", "cogra"],
         flatten_cap=64,  # longest contiguous increasing run is far shorter
         verbose=verbose,
@@ -75,31 +109,15 @@ def exp_next(spark: SparkSession, *, xs=(2_000, 10_000, 50_000, 100_000),
     irrelevant events (InTransit, Dropoff) are skipped. Approaches with
     NEXT support: SASE, Cogra.
     """
-    query = Query(
-        pattern=Q2_PATTERN,
-        semantics=Semantics.NEXT,
-        aggregates=(Count(),),
-        partition_by=("passenger",),
-    )
     return run_sweep(
         spark,
         experiment="E2-next",
         x_name="events",
         xs=list(xs),
         make_pdf=lambda n: transport_stream_pdf(n=n, seed=12),
-        make_query=lambda n: query,
+        make_query=lambda n: Q2_NEXT,
         approaches=["sase", "cogra"],
         verbose=verbose,
-    )
-
-
-def _stock_query(preds: tuple = ()) -> Query:
-    return Query(
-        pattern="SEQ(D+, U)",
-        semantics=Semantics.ANY,
-        aggregates=(Count(), Avg("U", "price")),
-        adjacent_predicates=preds,
-        partition_by=("sector", "company"),
     )
 
 
@@ -119,7 +137,7 @@ def exp_any_all(spark: SparkSession, *, xs=(200, 500, 1_000, 2_000, 5_000),
         x_name="events",
         xs=list(xs),
         make_pdf=lambda n: stock_stream_pdf(n=n, seed=11),
-        make_query=lambda n: _stock_query(),
+        make_query=lambda n: stock_query(),
         approaches=["flink", "sase", "greta", "aseq", "cogra"],
         budget_seconds=10.0,
         verbose=verbose,
@@ -140,7 +158,7 @@ def exp_any_online(spark: SparkSession, *, xs=(2_000, 5_000, 10_000, 20_000),
         x_name="events",
         xs=list(xs),
         make_pdf=lambda n: stock_stream_pdf(n=n, seed=11),
-        make_query=lambda n: _stock_query(),
+        make_query=lambda n: stock_query(),
         approaches=["greta", "aseq", "cogra"],
         budget_seconds=60.0,
         budget_units=500_000_000,
@@ -165,10 +183,7 @@ def exp_selectivity(spark: SparkSession, *, n: int = 1_000,
         x_name="selectivity",
         xs=list(xs),
         make_pdf=lambda s: pdf,
-        make_query=lambda s: _stock_query(
-            (AdjacentPredicate("D", "price", "<", "D", "price",
-                               offset=selectivity_offset(s)),)
-        ),
+        make_query=selectivity_query,
         approaches=["flink", "sase", "greta", "cogra"],
         budget_seconds=10.0,
         verbose=verbose,
@@ -185,19 +200,13 @@ def exp_groups(spark: SparkSession, *, n: int = 900,
     so fewer groups mean larger substreams. Two-step approaches DNF below
     a group-count threshold (paper: Flink < 15, SASE < 25 groups).
     """
-    query = Query(
-        pattern=Q2_PATTERN,
-        semantics=Semantics.ANY,
-        aggregates=(Count(),),
-        partition_by=("passenger",),
-    )
     return run_sweep(
         spark,
         experiment="E6-groups",
         x_name="groups",
         xs=list(xs),
         make_pdf=lambda g: transport_stream_pdf(n=n, n_passengers=g, seed=12),
-        make_query=lambda g: query,
+        make_query=lambda g: Q2_ANY,
         approaches=["flink", "sase", "greta", "aseq", "cogra"],
         budget_seconds=2.0,
         verbose=verbose,

@@ -8,8 +8,11 @@ import pytest
 
 from repro.baselines.bruteforce import enumerate_trends
 from repro.baselines.registry import run_approach
+from repro.core.aggregates import Avg, Count, Max, Sum
 from repro.core.events import Event
-from repro.core.granularity import Semantics
+from repro.core.executor import aggregate_substream
+from repro.core.granularity import Granularity, Semantics
+from repro.core.predicates import AdjacentPredicate
 from repro.core.query import Query
 
 
@@ -79,6 +82,60 @@ class TestSpaceComplexity:
         s8 = run_approach("aseq", mk("A" * 8), cq).peak_state_bytes
         s32 = run_approach("aseq", mk("A" * 32), cq).peak_state_bytes
         assert s32 == pytest.approx(4 * s8, rel=0.05)
+
+
+class TestStateBytes:
+    """Exact ``peak_state_bytes`` of the Cogra aggregators: k aggregates
+    cost (1+k) numbers of 8 B per node, a stored event 48 B plus its
+    (1+k) numbers. The EXPERIMENTS.md memory columns rest on these."""
+
+    STREAM = [
+        Event(i, i + 1, t, {"v": float(v)})
+        for i, (t, v) in enumerate(zip("ABAACBAB", [3, 1, 4, 1, 5, 9, 2, 6]))
+    ]
+    AGGS = [(Count(),), (Count(), Sum("B", "v"), Avg("A", "v"), Max("B", "v"))]
+
+    @pytest.mark.parametrize("aggs", AGGS)
+    @pytest.mark.parametrize("pattern", ["A+", "SEQ(A+, B)", "(SEQ(A+, B))+"])
+    def test_type_grained(self, pattern, aggs):
+        """Algorithm 1: one node per pattern type."""
+        cq = Query(pattern=pattern, semantics=Semantics.ANY,
+                   aggregates=aggs).compile()
+        assert cq.granularity is Granularity.TYPE
+        peak = aggregate_substream(self.STREAM, cq).peak_state_bytes
+        assert peak == len(cq.analysis.types) * (1 + len(aggs)) * 8
+
+    @pytest.mark.parametrize("aggs", AGGS)
+    @pytest.mark.parametrize(
+        "pattern, pred, end_event_grained",
+        [
+            ("SEQ(A+, B)", AdjacentPredicate("A", "v", "<", "A", "v"), False),
+            ("(SEQ(A+, B))+", AdjacentPredicate("B", "v", "<", "A", "v"), True),
+        ],
+    )
+    def test_mixed_grained(self, pattern, pred, end_event_grained, aggs):
+        """Algorithm 2: a node per type in T_t, the final accumulator, and
+        every stored event of T_e."""
+        cq = Query(pattern=pattern, semantics=Semantics.ANY, aggregates=aggs,
+                   adjacent_predicates=(pred,)).compile()
+        assert cq.granularity is Granularity.MIXED
+        assert (cq.analysis.end in cq.event_grained_types) is end_event_grained
+        k = len(aggs)
+        n_e = sum(e.etype in cq.event_grained_types for e in self.STREAM)
+        peak = aggregate_substream(self.STREAM, cq).peak_state_bytes
+        assert peak == (
+            (len(cq.type_grained_types) + 1) * (1 + k) * 8
+            + n_e * (48 + (1 + k) * 8)
+        )
+
+    @pytest.mark.parametrize("aggs", AGGS)
+    @pytest.mark.parametrize("semantics", [Semantics.NEXT, Semantics.CONT])
+    def test_pattern_grained(self, semantics, aggs):
+        """Algorithm 3: the last matched event and two nodes."""
+        cq = Query(pattern="(SEQ(A+, B))+", semantics=semantics,
+                   aggregates=aggs).compile()
+        peak = aggregate_substream(self.STREAM, cq).peak_state_bytes
+        assert peak == 48 + 2 * (1 + len(aggs)) * 8
 
 
 class TestTimeShape:

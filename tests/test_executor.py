@@ -10,7 +10,6 @@ from repro.core.mixed_grained import MixedGrainedAggregator
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.core.predicates import AdjacentPredicate
 from repro.core.query import Query
-from repro.core.type_grained import TypeGrainedAggregator
 
 STREAM = [
     Event(i, t, ty, {"v": t})
@@ -25,7 +24,7 @@ PREDS = (AdjacentPredicate("B", "v", "<", "A", "v"),)
 @pytest.mark.parametrize(
     "semantics, preds, cls",
     [
-        (Semantics.ANY, (), TypeGrainedAggregator),
+        (Semantics.ANY, (), MixedGrainedAggregator),
         (Semantics.ANY, PREDS, MixedGrainedAggregator),
         (Semantics.NEXT, (), PatternGrainedAggregator),
         (Semantics.CONT, PREDS, PatternGrainedAggregator),

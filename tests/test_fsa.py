@@ -68,6 +68,21 @@ def test_pred_types(text, pred_types):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["A", "A+", "SEQ(A+, B+)", "(SEQ(A+, B))+",
+     "SEQ(Accept, (SEQ(Call, Cancel))+, Finish)"],
+)
+def test_succ_types_invert_pred_types(text):
+    """succTypes(E) = {E' : E in predTypes(E')}, each listed once."""
+    a = an(text)
+    for t, succ in a.succ_types.items():
+        assert sorted(succ) == sorted(
+            u for u, ps in a.pred_types.items() if t in ps
+        )
+    assert a.succ_types.keys() == a.pred_types.keys()
+
+
+@pytest.mark.parametrize(
     "text, word, ok",
     [
         ("(SEQ(A+, B))+", list("AB"), True),

@@ -1,5 +1,7 @@
 """End-to-end batch Spark pipeline (filter -> window -> partition ->
 kernel), cross-checked against local kernels and between approaches."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,7 +12,7 @@ from repro.core.events import events_from_pandas
 from repro.core.granularity import Semantics
 from repro.core.predicates import AdjacentPredicate, LocalPredicate
 from repro.core.query import Query, WindowSpec
-from repro.core.spark_runner import run_query
+from repro.core.spark_runner import local_filter_expr, run_query
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +149,35 @@ def test_empty_group_absent_not_crashing(spark):
     out = run_query(spark.createDataFrame(pdf), q).toPandas()
     # Group exists (rows arrive at the kernel) but no relevant events.
     assert out.count_star.tolist() == [0.0]
+
+
+QUOTED = ["it's", 'say "hi"', "both ' and \"", "back\\slash"]
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LocalPredicate("v", "<", math.inf),
+        LocalPredicate("v", ">", -math.inf, etype="A"),
+        LocalPredicate("v", "<=", 4.0, etype="B"),
+        *(LocalPredicate("s", "==", q) for q in QUOTED),
+        LocalPredicate("s", "!=", QUOTED[2], etype="A"),
+    ],
+    ids=repr,
+)
+def test_local_filter_expr_matches_holds(spark, lp):
+    """The Catalyst filter keeps exactly the rows ``LocalPredicate.holds``
+    keeps, for infinite constants and strings with quotes or backslashes."""
+    pdf = pd.DataFrame(
+        {
+            "time": range(1, 16),
+            "etype": list("ABC") * 5,
+            "v": [0.0, 4.0, 9.0, -1.0, 5.0, 3.0, 7.0, 2.0, 8.0, 1.0, 6.0, 4.5,
+                  math.inf, -math.inf, 4.0],
+            "s": (QUOTED + ["plain"]) * 3,
+        }
+    )
+    cq = Query(pattern="A+", semantics=Semantics.ANY,
+               local_predicates=(lp,)).compile()
+    got = spark.createDataFrame(pdf).filter(local_filter_expr(cq)).count()
+    assert got == sum(lp.holds(r["etype"], r) for r in pdf.to_dict("records"))
