@@ -105,20 +105,68 @@ def enumerate_trends(
     return enumerate_trends_next_cont(events, cq)
 
 
-def _trend_value(spec: AggSpec, trend: tuple[Event, ...]):
-    """tr.COUNT(E) / tr.MIN / tr.MAX / tr.SUM for one trend (Section 2.3)."""
-    if isinstance(spec, CountType):
-        return sum(1 for e in trend if e.etype == spec.etype)
-    vals = [e.attrs[spec.attr] for e in trend if e.etype == spec.etype]
-    if isinstance(spec, Min):
-        return min(vals) if vals else None
-    if isinstance(spec, Max):
-        return max(vals) if vals else None
-    if isinstance(spec, Sum):
-        return sum(vals)
-    if isinstance(spec, Avg):
-        return (sum(vals), len(vals))
-    raise TypeError(spec)
+class TrendAccumulator:
+    """Fold materialized trends into Definition-6 aggregates.
+
+    The oracle's second step, shared with the two-step baselines: SASE and
+    the Flink-like baseline first *construct* trends and only then
+    aggregate them (paper Table 1). One trend is consumed at a time, so a
+    caller need not hold every trend at once unless its memory model says
+    so (Flink stores all constructed sequences; SASE keeps only the
+    current one, Section 9.3). It computes each aggregate per trend, not
+    through the Table-8 algebra, so it stays independent of Cogra.
+    """
+
+    def __init__(self, specs: tuple[AggSpec, ...]) -> None:
+        self.specs = specs
+        self.count = 0
+        self.vals: dict[str, object] = {}
+        for s in specs:
+            if isinstance(s, (CountType, Sum)):
+                self.vals[s.name] = 0
+            elif isinstance(s, Avg):
+                self.vals[s.name] = (0, 0)
+            else:
+                self.vals[s.name] = None
+
+    def add_trend(self, trend: tuple[Event, ...]) -> None:
+        self.count += 1
+        for s in self.specs:
+            if isinstance(s, Count):
+                continue
+            if isinstance(s, CountType):
+                self.vals[s.name] += sum(1 for e in trend if e.etype == s.etype)
+                continue
+            ev = [e.attrs[s.attr] for e in trend if e.etype == s.etype]
+            if isinstance(s, Sum):
+                self.vals[s.name] += sum(ev)
+            elif isinstance(s, Avg):
+                a, c = self.vals[s.name]
+                self.vals[s.name] = (a + sum(ev), c + len(ev))
+            elif isinstance(s, Min):
+                if ev:
+                    cur = self.vals[s.name]
+                    m = min(ev)
+                    self.vals[s.name] = m if cur is None else min(cur, m)
+            elif isinstance(s, Max):
+                if ev:
+                    cur = self.vals[s.name]
+                    m = max(ev)
+                    self.vals[s.name] = m if cur is None else max(cur, m)
+            else:
+                raise TypeError(s)
+
+    def result(self) -> dict:
+        out: dict = {}
+        for s in self.specs:
+            if isinstance(s, Count):
+                out[s.name] = self.count
+            elif isinstance(s, Avg):
+                a, c = self.vals[s.name]
+                out[s.name] = None if c == 0 else a / c
+            else:
+                out[s.name] = self.vals[s.name]
+        return out
 
 
 def aggregate_bruteforce(
@@ -126,25 +174,7 @@ def aggregate_bruteforce(
 ) -> dict:
     """Per-group aggregates computed trend-by-trend over all finished
     trends; output keys match the incremental kernels'."""
-    trends = enumerate_trends(events, cq, max_trends=max_trends)
-    out: dict = {}
-    for spec in cq.specs:
-        if isinstance(spec, Count):
-            out[spec.name] = len(trends)
-        elif isinstance(spec, (CountType, Sum)):
-            out[spec.name] = sum(_trend_value(spec, t) for t in trends)
-        elif isinstance(spec, Min):
-            vals = [v for t in trends if (v := _trend_value(spec, t)) is not None]
-            out[spec.name] = min(vals) if vals else None
-        elif isinstance(spec, Max):
-            vals = [v for t in trends if (v := _trend_value(spec, t)) is not None]
-            out[spec.name] = max(vals) if vals else None
-        elif isinstance(spec, Avg):
-            s = c = 0
-            for t in trends:
-                ts, tc = _trend_value(spec, t)
-                s, c = s + ts, c + tc
-            out[spec.name] = None if c == 0 else s / c
-        else:
-            raise TypeError(spec)
-    return out
+    acc = TrendAccumulator(cq.specs)
+    for trend in enumerate_trends(events, cq, max_trends=max_trends):
+        acc.add_trend(trend)
+    return acc.result()

@@ -14,7 +14,7 @@ the total size of all stored sequences.
 """
 from __future__ import annotations
 
-from repro.baselines.trend_agg import TrendAccumulator
+from repro.baselines.bruteforce import TrendAccumulator
 from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds

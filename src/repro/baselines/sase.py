@@ -19,7 +19,7 @@ paper's "fails to terminate" outcomes become DNF rows instead of hangs.
 """
 from __future__ import annotations
 
-from repro.baselines.trend_agg import TrendAccumulator
+from repro.baselines.bruteforce import TrendAccumulator
 from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
@@ -40,7 +40,7 @@ def _construct_any(
     acc: TrendAccumulator,
     meter: StateMeter,
     budget: Budget,
-) -> int:
+) -> None:
     """Stack/pointer construction + DFS enumeration under ANY."""
     an = cq.analysis
     preds = cq.adjacent_predicates
@@ -64,17 +64,14 @@ def _construct_any(
     # Step 2: DFS backwards from end-type events; a trend begins at any
     # start-type event on the path. Only the current path is stored.
     start, end = an.start, an.end
-    n_trends = 0
     path: list[Event] = []
 
     def dfs(i: int) -> None:
-        nonlocal n_trends
         budget.charge(1)
         path.append(relevant[i])
         meter.add(BYTES_PER_EVENT)
         if relevant[i].etype == start:
             acc.add_trend(tuple(reversed(path)))
-            n_trends += 1
         for j in pointers[i]:
             dfs(j)
         path.pop()
@@ -83,7 +80,6 @@ def _construct_any(
     for i, e in enumerate(relevant):
         if e.etype == end:
             dfs(i)
-    return n_trends
 
 
 def _construct_next_cont(
@@ -92,7 +88,7 @@ def _construct_next_cont(
     acc: TrendAccumulator,
     meter: StateMeter,
     budget: Budget,
-) -> int:
+) -> None:
     """Two-step run construction under NEXT/CONT: partial trends are
     materialized (copy-on-extend), unlike Cogra's O(1) counters."""
     an = cq.analysis
@@ -101,7 +97,6 @@ def _construct_next_cont(
     partials: list[list[Event]] = []
     partial_bytes = 0
     last: Event | None = None
-    n_trends = 0
 
     def drop_partials() -> None:
         nonlocal partials, partial_bytes, last
@@ -137,11 +132,9 @@ def _construct_next_cont(
             if e.etype == an.end:
                 for p in new_partials:
                     acc.add_trend(tuple(p))
-                    n_trends += 1
             partials, last = new_partials, e
         elif cont:
             drop_partials()
-    return n_trends
 
 
 def run_sase(
@@ -158,20 +151,20 @@ def run_sase(
     n = sum(1 for e in events if e.etype in cq.analysis.pred_types)
     try:
         if cq.semantics is Semantics.ANY:
-            n_trends = _construct_any(events, cq, acc, meter, budget)
+            _construct_any(events, cq, acc, meter, budget)
         else:
-            n_trends = _construct_next_cont(events, cq, acc, meter, budget)
+            _construct_next_cont(events, cq, acc, meter, budget)
     except (BudgetExceeded, RecursionError):
         return KernelResult(
             aggregates={s.name: None for s in cq.specs},
             events_processed=n,
             peak_state_bytes=meter.peak,
             dnf=True,
-            trends_constructed=budget.units,
+            trends_constructed=acc.count,
         )
     return KernelResult(
         aggregates=acc.result(),
         events_processed=n,
         peak_state_bytes=meter.peak,
-        trends_constructed=n_trends,
+        trends_constructed=acc.count,
     )

@@ -33,10 +33,12 @@ def events_from_pandas(
     arrival index is the deterministic tie-break within a timestamp.
     """
     pdf = pdf.sort_values(time_col, kind="stable").reset_index(drop=True)
-    times = pdf[time_col].to_numpy()
-    types = pdf[type_col].to_numpy()
+    # ``tolist`` hands the kernels Python scalars: exact-mode arithmetic on
+    # an ``np.int64`` attribute would wrap at 2**63 instead of growing.
+    times = pdf[time_col].tolist()
+    types = pdf[type_col].tolist()
     if attr_cols:
-        cols = {c: pdf[c].to_numpy() for c in attr_cols}
+        cols = {c: pdf[c].tolist() for c in attr_cols}
         return [
             Event(i, times[i], types[i], {c: cols[c][i] for c in attr_cols})
             for i in range(len(pdf))

@@ -42,7 +42,6 @@ class MixedGrainedAggregator:
     is empty)."""
 
     def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
-        self.cq = cq
         self.specs = cq.specs
         self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         self.preds = cq.adjacent_predicates

@@ -28,7 +28,6 @@ class PatternGrainedAggregator:
     def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
         if cq.semantics not in (Semantics.NEXT, Semantics.CONT):
             raise ValueError("pattern-grained aggregation requires NEXT or CONT")
-        self.cq = cq
         self.specs = cq.specs
         self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         self.preds = cq.adjacent_predicates

@@ -12,6 +12,7 @@ from repro.baselines.flink_like import run_flink_like, type_paths
 from repro.baselines.greta import run_greta
 from repro.baselines.registry import run_approach
 from repro.baselines.sase import run_sase
+from repro.core.aggregates import Avg, Count, CountType, Max, Min, Sum
 from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.predicates import AdjacentPredicate
@@ -71,10 +72,46 @@ class TestBudgets:
         assert not res.dnf
         assert res.aggregates == aggregate_bruteforce(events, cq_of())
 
+    def test_sase_dnf_counts_trends_not_work_units(self):
+        """The budget runs out while pointers are built, before any trend."""
+        events = mk("A" * 18 + "B")
+        res = run_sase(events, cq_of(), budget=Budget(max_units=50))
+        assert res.dnf
+        assert res.trends_constructed == 0
+
     def test_bruteforce_explosion_guard(self):
         events = mk("A" * 25)
         with pytest.raises(TrendExplosion):
             enumerate_trends(events, cq_of("A+"), max_trends=1_000)
+
+
+@pytest.mark.parametrize(
+    "semantics, expected",
+    [
+        # Trends (a1,b3), (a2,b3), (a1,a2,b3).
+        (Semantics.ANY, (3, 4, 1, 2, 8, 2.0)),
+        # Trends (a1,a2,b3), (a2,b3): a2 extends a1's partial trend.
+        (Semantics.NEXT, (2, 3, 1, 2, 7, 7 / 3)),
+        (Semantics.CONT, (2, 3, 1, 2, 7, 7 / 3)),
+    ],
+)
+def test_bruteforce_definition6_by_hand(semantics, expected):
+    """Definition 6 (Section 2.3) on a1(v=1), a2(v=3), b3(v=2)."""
+    events = [
+        Event(0, 1, "A", {"v": 1}),
+        Event(1, 2, "A", {"v": 3}),
+        Event(2, 3, "B", {"v": 2}),
+    ]
+    cq = Query(
+        pattern="SEQ(A+, B)",
+        semantics=semantics,
+        aggregates=(
+            Count(), CountType("A"), Min("A", "v"), Max("B", "v"),
+            Sum("A", "v"), Avg("A", "v"),
+        ),
+    ).compile()
+    got = aggregate_bruteforce(events, cq)
+    assert tuple(got[s.name] for s in cq.specs) == expected
 
 
 class TestTwoStepAccounting:
