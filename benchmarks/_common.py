@@ -9,6 +9,8 @@ within its budget (DNF behavior is asserted in tests, not timed here).
 """
 from __future__ import annotations
 
+import math
+
 import pandas as pd
 
 from repro.baselines.registry import run_approach
@@ -26,7 +28,7 @@ def substreams(
     ]
 
 
-def run_all_substreams(
+def run_each_substream(
     streams: list[list[Event]],
     query: Query,
     approach: str,
@@ -34,17 +36,28 @@ def run_all_substreams(
     flatten_cap: int | None = None,
     budget_units: int = 500_000_000,
     budget_seconds: float = 120.0,
-) -> float:
-    """Run one approach over every substream; returns the COUNT(*) sum and
-    asserts nothing DNFed (benchmark points must be feasible)."""
+) -> list[dict]:
+    """Run one approach over every substream; returns each substream's
+    aggregates and asserts that nothing DNFed (benchmark points must be
+    feasible) and that every float aggregate is finite."""
     cq = query.compile()
-    total = 0.0
+    out = []
     for ev in streams:
         r = run_approach(
-            approach, ev, cq, exact=False,
+            approach, ev, cq,
             budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
             flatten_cap=flatten_cap,
         )
         assert not r.dnf, f"{approach} exceeded budget in a benchmark point"
-        total += r.aggregates["count_star"]
-    return total
+        for name, v in r.aggregates.items():
+            assert not isinstance(v, float) or math.isfinite(v), (name, v)
+        out.append(r.aggregates)
+    return out
+
+
+def run_all_substreams(
+    streams: list[list[Event]], query: Query, approach: str, **kwargs
+) -> int:
+    """The exact COUNT(*) total over ``run_each_substream``."""
+    results = run_each_substream(streams, query, approach, **kwargs)
+    return sum(r["count_star"] for r in results)

@@ -22,7 +22,7 @@ def stock_df(spark):
 
 def test_spark_pipeline_cogra(benchmark, spark, stock_df):
     def run():
-        return run_query(stock_df, QUERY, exact=False).count()
+        return run_query(stock_df, QUERY).count()
 
     rows = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert rows > 0

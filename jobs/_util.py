@@ -9,6 +9,8 @@ import os
 
 from pyspark.sql import SparkSession
 
+from repro.harness.session import get_session
+
 
 def get_spark(app: str) -> SparkSession:
     os.environ.setdefault(
@@ -17,10 +19,4 @@ def get_spark(app: str) -> SparkSession:
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return get_session(app)

@@ -43,7 +43,6 @@ def run_aseq(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     budget: Budget | None = None,
     flatten_cap: int | None = None,
 ) -> KernelResult:
@@ -59,8 +58,6 @@ def run_aseq(
     an = cq.analysis
     specs = cq.specs
     nslots = len(specs)
-    zero = 0 if exact else 0.0
-    one = 1 if exact else 1.0
     relevant = [e for e in events if e.etype in an.pred_types]
     n = len(relevant)
     max_len = n if flatten_cap is None else min(n, flatten_cap)
@@ -68,7 +65,7 @@ def run_aseq(
     # Trie node: [etype, parent_index, count, slot_0..slot_{k-1}].
     # Node 0 is the virtual root (count 1: "one way to match nothing").
     CELL0 = 3  # offset of slot_0 within a node row
-    nodes: list[list] = [[None, -1, one, *init_slots(specs)]]
+    nodes: list[list] = [[None, -1, 1, *init_slots(specs)]]
     by_type: dict[str, list[int]] = {t: [] for t in an.pred_types}
     finals: list[int] = []
 
@@ -78,7 +75,7 @@ def run_aseq(
         # precede children.
         frontier = []
         if max_len >= 1:
-            nodes.append([an.start, 0, zero, *init_slots(specs)])
+            nodes.append([an.start, 0, 0, *init_slots(specs)])
             by_type[an.start].append(1)
             frontier = [1]
             if an.start == an.end:
@@ -91,7 +88,7 @@ def run_aseq(
                 ptype = nodes[pi][0]
                 for t in an.succ_types[ptype]:
                     ni = len(nodes)
-                    nodes.append([t, pi, zero, *init_slots(specs)])
+                    nodes.append([t, pi, 0, *init_slots(specs)])
                     by_type[t].append(ni)
                     if t == an.end:
                         finals.append(ni)
@@ -112,7 +109,7 @@ def run_aseq(
                 node = nodes[ni]
                 parent = nodes[node[1]]
                 p_count = parent[2]
-                if p_count == zero:
+                if p_count == 0:
                     continue
                 slots = init_slots(specs)
                 if nslots:
@@ -129,7 +126,7 @@ def run_aseq(
             dnf=True,
         )
 
-    final_count = zero
+    final_count = 0
     final_slots = init_slots(specs)
     for ni in finals:
         node = nodes[ni]

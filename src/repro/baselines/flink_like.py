@@ -121,7 +121,6 @@ def run_flink_like(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     budget: Budget | None = None,
     flatten_cap: int | None = None,
 ) -> KernelResult:

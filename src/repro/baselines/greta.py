@@ -33,7 +33,6 @@ def run_greta(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     budget: Budget | None = None,
 ) -> KernelResult:
     """Event-grained online aggregation over one substream (ANY only)."""
@@ -45,15 +44,13 @@ def run_greta(
     specs = cq.specs
     preds = cq.adjacent_predicates
     nslots = len(specs)
-    zero = 0 if exact else 0.0
-    one = 1 if exact else 1.0
 
     # The GRETA graph: every matched event with its event-grained
     # aggregates, bucketed by type for predecessor lookups.
     graph: dict[str, list[tuple[Event, object, list]]] = {
         t: [] for t in an.pred_types
     }
-    final_count = zero
+    final_count = 0
     final_slots = init_slots(specs)
     n = 0
     try:
@@ -62,7 +59,7 @@ def run_greta(
             if et not in an.pred_types:
                 continue
             n += 1
-            e_count = one if et == an.start else zero
+            e_count = 1 if et == an.start else 0
             slots = init_slots(specs)
             for ep_type in an.pred_types[et]:
                 for p_event, p_count, p_slots in graph[ep_type]:
@@ -78,8 +75,7 @@ def run_greta(
             meter.add(BYTES_PER_EVENT + (1 + nslots) * BYTES_PER_AGG)
             if et == an.end:
                 final_count += e_count
-                for i in range(nslots):
-                    final_slots[i] = specs[i].merge(final_slots[i], slots[i])
+                merge_slots(specs, final_slots, slots)
     except BudgetExceeded:
         return KernelResult(
             aggregates={s.name: None for s in specs},

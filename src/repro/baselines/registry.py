@@ -27,12 +27,11 @@ def run_cogra(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     budget: Budget | None = None,
 ) -> KernelResult:
     """Cogra entry point (budget accepted for interface uniformity; the
     coarse-grained aggregators never need one)."""
-    return aggregate_substream(events, cq, exact=exact)
+    return aggregate_substream(events, cq)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,6 @@ def run_approach(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     budget: Budget | None = None,
     flatten_cap: int | None = None,
 ) -> KernelResult:
@@ -118,7 +116,7 @@ def run_approach(
     if not supports(name, cq):
         raise ValueError(f"approach {name!r} does not support this query (Table 9)")
     info = APPROACHES[name]
-    kwargs: dict = {"exact": exact, "budget": budget}
+    kwargs: dict = {"budget": budget}
     if not info.kleene:
         kwargs["flatten_cap"] = flatten_cap
     t0 = time.perf_counter()

@@ -141,7 +141,6 @@ def run_sase(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     budget: Budget | None = None,
 ) -> KernelResult:
     """Two-step SASE over one substream; DNF on budget exhaustion."""

@@ -23,10 +23,15 @@ Each spec implements the Table-8 algebra on its slot:
 
 This algebra covers exactly the distributive/algebraic functions the paper
 supports (Section 2.3, citing Gray et al.'s data-cube classification).
+
+Arithmetic is exact (DESIGN.md, "Arithmetic mode"): counts are Python
+ints, and SUM/AVG numerators are binary fractions (num, k) = num / 2**k,
+divided once in ``finalize``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 
@@ -97,70 +102,67 @@ class CountType(AggSpec):
         return val
 
 
-def _min2(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
-def _max2(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
-
-
 @dataclass(frozen=True)
-class Min(AggSpec):
-    """MIN(E.attr): min over finished trends of tr.MIN(E.attr)."""
+class _Extremum(AggSpec):
+    """MIN/MAX(E.attr): the extremum over finished trends of the trend's
+    extremum; ``keep(a, b)`` is the kept one of two values."""
 
     etype: str
     attr: str
 
     @property
     def name(self) -> str:
-        return f"min_{self.etype}_{self.attr}"
+        return f"{type(self).__name__.lower()}_{self.etype}_{self.attr}"
 
     def merge(self, a, b):
-        return _min2(a, b)
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return self.keep(a, b)
 
     def on_event(self, val, etype, attrs, trend_count):
         # Only absorb the value if some (partial) trend actually ends at
         # this event — an event with e.count = 0 extends no trend and must
         # not contribute (it has no adjacent predecessor yet).
         if etype == self.etype and trend_count:
-            return _min2(val, attrs[self.attr])
+            return self.merge(val, attrs[self.attr])
         return val
 
     def finalize(self, val, final_count):
         return val
 
 
-@dataclass(frozen=True)
-class Max(AggSpec):
+class Min(_Extremum):
+    """MIN(E.attr): min over finished trends of tr.MIN(E.attr)."""
+
+    def keep(self, a, b):
+        return a if a <= b else b
+
+
+class Max(_Extremum):
     """MAX(E.attr): max over finished trends of tr.MAX(E.attr)."""
 
-    etype: str
-    attr: str
+    def keep(self, a, b):
+        return a if a >= b else b
 
-    @property
-    def name(self) -> str:
-        return f"max_{self.etype}_{self.attr}"
 
-    def merge(self, a, b):
-        return _max2(a, b)
+def _binary_fraction(spec: AggSpec, x) -> tuple[int, int]:
+    """(m, k) with x = m / 2**k, for a finite int or float x."""
+    try:
+        m, d = x.as_integer_ratio()
+        if d & (d - 1) == 0:
+            return m, d.bit_length() - 1
+    except (AttributeError, ValueError, OverflowError):  # NaN, ±inf, no ratio
+        pass
+    raise ValueError(f"{spec.name}: {x!r} is not a finite int or float")
 
-    def on_event(self, val, etype, attrs, trend_count):
-        # See Min.on_event: no contribution when no trend ends here.
-        if etype == self.etype and trend_count:
-            return _max2(val, attrs[self.attr])
-        return val
 
-    def finalize(self, val, final_count):
-        return val
+def _add(n1: int, k1: int, n2: int, k2: int) -> tuple[int, int]:
+    """n1 / 2**k1 + n2 / 2**k2 as (num, k) over the larger denominator."""
+    if k1 < k2:
+        n1, k1, n2, k2 = n2, k2, n1, k1
+    return n1 + (n2 << (k1 - k2)), k1
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class Sum(AggSpec):
     """SUM(E.attr): sum over finished trends of tr.SUM(E.attr).
 
     Table 8: an event e of type E contributes ``e.attr * e.count`` — its
-    attribute once per trend ending at e.
+    attribute once per trend ending at e. The slot is (num, k).
     """
 
     etype: str
@@ -179,26 +181,28 @@ class Sum(AggSpec):
         return f"sum_{self.etype}_{self.attr}"
 
     def init_val(self):
-        return 0
+        return (0, 0)
 
     def merge(self, a, b):
-        return a + b
+        return _add(*a, *b)
 
     def on_event(self, val, etype, attrs, trend_count):
         if etype == self.etype:
-            return val + attrs[self.attr] * trend_count
+            m, k = _binary_fraction(self, attrs[self.attr])
+            return _add(*val, m * trend_count, k)
         return val
 
     def finalize(self, val, final_count):
-        return val
+        s = Fraction(val[0], 1 << val[1])
+        return s.numerator if s.denominator == 1 else s
 
 
 @dataclass(frozen=True)
 class Avg(AggSpec):
     """AVG(E.attr) = SUM(E.attr) / COUNT(E) per group (Section 2.3).
 
-    The slot value is the pair (sum, count-of-E-events); algebraic, so it
-    composes under merge like its distributive components.
+    The slot is (num, k, count-of-E-events): SUM's slot plus COUNT(E);
+    algebraic, so it composes under merge like its distributive components.
     """
 
     etype: str
@@ -209,19 +213,21 @@ class Avg(AggSpec):
         return f"avg_{self.etype}_{self.attr}"
 
     def init_val(self):
-        return (0, 0)
+        return (0, 0, 0)
 
     def merge(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        return (*_add(a[0], a[1], b[0], b[1]), a[2] + b[2])
 
     def on_event(self, val, etype, attrs, trend_count):
         if etype == self.etype:
-            return (val[0] + attrs[self.attr] * trend_count, val[1] + trend_count)
+            m, k = _binary_fraction(self, attrs[self.attr])
+            return (*_add(val[0], val[1], m * trend_count, k), val[2] + trend_count)
         return val
 
     def finalize(self, val, final_count):
-        s, c = val
-        return None if c == 0 else s / c
+        num, k, c = val
+        # One correctly rounded int / int division.
+        return None if c == 0 else num / (c << k)
 
 
 def init_slots(specs: tuple[AggSpec, ...]) -> list:

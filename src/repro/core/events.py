@@ -33,8 +33,8 @@ def events_from_pandas(
     arrival index is the deterministic tie-break within a timestamp.
     """
     pdf = pdf.sort_values(time_col, kind="stable").reset_index(drop=True)
-    # ``tolist`` hands the kernels Python scalars: exact-mode arithmetic on
-    # an ``np.int64`` attribute would wrap at 2**63 instead of growing.
+    # ``tolist`` hands the kernels Python scalars: exact arithmetic on an
+    # ``np.int64`` attribute would wrap at 2**63 instead of growing.
     times = pdf[time_col].tolist()
     types = pdf[type_col].tolist()
     if attr_cols:

@@ -30,14 +30,9 @@ _AGGREGATORS = {
 }
 
 
-def make_aggregator(cq: CompiledQuery, *, exact: bool = True):
-    """Fresh incremental aggregator at the query's selected granularity.
-
-    ``exact=True`` keeps counts as Python ints (arbitrary precision, used
-    by correctness tests); ``exact=False`` uses float64 like the paper's
-    fixed-width Java arithmetic (used by benchmarks — see DESIGN.md).
-    """
-    return _AGGREGATORS[cq.granularity](cq, exact=exact)
+def make_aggregator(cq: CompiledQuery):
+    """Fresh incremental aggregator at the query's selected granularity."""
+    return _AGGREGATORS[cq.granularity](cq)
 
 
 def fold(agg, events: list[Event], trace: list | None = None):
@@ -62,12 +57,11 @@ def aggregate_substream(
     events: list[Event],
     cq: CompiledQuery,
     *,
-    exact: bool = True,
     trace: list | None = None,
 ) -> KernelResult:
     """Incrementally aggregate the trends of one substream with the
     coarsest-granularity Cogra aggregator selected for the query."""
-    agg = fold(make_aggregator(cq, exact=exact), events, trace)
+    agg = fold(make_aggregator(cq), events, trace)
     return KernelResult(
         aggregates=agg.result(),
         events_processed=agg.events_processed,

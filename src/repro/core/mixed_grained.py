@@ -41,9 +41,8 @@ class MixedGrainedAggregator:
     events V for the predicate-restricted types T_e (Algorithm 1 when T_e
     is empty)."""
 
-    def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
+    def __init__(self, cq: CompiledQuery) -> None:
         self.specs = cq.specs
-        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         self.preds = cq.adjacent_predicates
         an = cq.analysis
         self.start, self.end = an.start, an.end
@@ -51,7 +50,7 @@ class MixedGrainedAggregator:
         t_event = cq.event_grained_types  # T_e (Lines 3-4: removed from H)
         # H: type-grained store over T_t (Lines 1-2).
         self.H: dict[str, list] = {
-            t: [self.zero, *init_slots(self.specs)]
+            t: [0, *init_slots(self.specs)]
             for t in an.types
             if t not in t_event
         }
@@ -61,7 +60,7 @@ class MixedGrainedAggregator:
         # Separate final accumulator, used when end(P) is event-grained
         # (Lines 14, 16). It is metered only when T_e is non-empty, so the
         # state of Algorithm 1 (T_e empty) is the Theta(l) store H alone.
-        self.final = [self.zero, *init_slots(self.specs)]
+        self.final = [0, *init_slots(self.specs)]
         self.events_processed = 0
         self.meter = StateMeter()
         nodes = len(self.H) + bool(t_event)
@@ -75,7 +74,7 @@ class MixedGrainedAggregator:
         self.events_processed += 1
         specs = self.specs
         nslots = len(specs)
-        e_count = self.one if etype == self.start else self.zero
+        e_count = 1 if etype == self.start else 0
         slots = init_slots(specs)
         for ep in self.pred_types[etype]:
             node = self.H.get(ep)

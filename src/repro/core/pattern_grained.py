@@ -25,11 +25,10 @@ class PatternGrainedAggregator:
     """Incremental Algorithm 3: O(1) state — the last matched event, its
     aggregates, and the final aggregates."""
 
-    def __init__(self, cq: CompiledQuery, *, exact: bool = True) -> None:
+    def __init__(self, cq: CompiledQuery) -> None:
         if cq.semantics not in (Semantics.NEXT, Semantics.CONT):
             raise ValueError("pattern-grained aggregation requires NEXT or CONT")
         self.specs = cq.specs
-        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
         self.preds = cq.adjacent_predicates
         self.cont = cq.semantics is Semantics.CONT
         an = cq.analysis
@@ -38,9 +37,9 @@ class PatternGrainedAggregator:
         # Line 1: e_l = null, counts = 0.
         self.el_type: str | None = None
         self.el_attrs: dict = {}
-        self.el_count = self.zero
+        self.el_count = 0
         self.el_slots = init_slots(self.specs)
-        self.final_count = self.zero
+        self.final_count = 0
         self.final_slots = init_slots(self.specs)
         self.events_processed = 0
         self.meter = StateMeter()
@@ -49,7 +48,7 @@ class PatternGrainedAggregator:
         )
 
     def _reset_partials(self) -> None:
-        self.el_type, self.el_count = None, self.zero
+        self.el_type, self.el_count = None, 0
         self.el_slots = init_slots(self.specs)
 
     def update(self, etype: str, attrs: dict):
@@ -69,7 +68,7 @@ class PatternGrainedAggregator:
         )
         started = etype == self.start
         if started or adjacent:  # isMatched (Line 3)
-            count = self.one if started else self.zero
+            count = 1 if started else 0
             if adjacent:
                 count += self.el_count
             slots = list(self.el_slots) if adjacent else init_slots(specs)

@@ -9,15 +9,14 @@ Pipeline (all relational stages in Catalyst, per the paper's executor):
 4. **Kernel** — one ``applyInPandas`` call per substream runs the
    granularity-selected Cogra aggregator (or a baseline) as a
    DataFrame -> DataFrame physical operator, emitting the aggregates plus
-   per-substream metrics (events, peak state bytes, kernel seconds, DNF).
+   per-substream metrics (events, peak state bytes, kernel seconds, DNF,
+   overflow).
 
 The kernel is sequential per substream by design: Definition 7 adjacency
 is order-sensitive, so parallelism comes from partitioning, exactly as in
 the paper (Section 8, "Parallel Processing").
 """
 from __future__ import annotations
-
-import math
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame
@@ -37,6 +36,7 @@ METRIC_FIELDS = [
     T.StructField("kernel_seconds", T.DoubleType()),
     T.StructField("dnf", T.BooleanType()),
     T.StructField("trends_constructed", T.LongType()),
+    T.StructField("overflow", T.BooleanType()),
 ]
 
 
@@ -76,26 +76,24 @@ def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
     return T.StructType(fields)
 
 
-def _as_double(v) -> float | None:
-    if v is None:
-        return None
-    # Exact ANY counts can exceed float64 range (2^n trends); saturate
-    # like the paper's fixed-width arithmetic would.
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
-
-
 def result_frame(
     schema: T.StructType, key: tuple, aggregates: dict, **metrics
 ) -> pd.DataFrame:
-    """One output row of ``schema``: the key columns, each aggregate as a
-    double, then the metric columns given by name."""
+    """One output row of ``schema``: the key columns, each exact aggregate
+    rounded to a double, then the metric columns given by name.
+
+    This is the only place results are rounded. An aggregate beyond double
+    range (an ANY count grows as 2^n) becomes null and sets ``overflow``.
+    """
     names = schema.fieldNames()
     row = dict(zip(names, key))
-    row.update((name, _as_double(v)) for name, v in aggregates.items())
-    row.update(metrics)
+    overflow = False
+    for name, v in aggregates.items():
+        try:
+            row[name] = None if v is None else float(v)
+        except OverflowError:
+            row[name], overflow = None, True
+    row.update(metrics, overflow=overflow)
     return pd.DataFrame([row], columns=names)
 
 
@@ -104,7 +102,6 @@ def run_query(
     query: Query,
     *,
     approach: str = "cogra",
-    exact: bool = True,
     budget_units: int = 5_000_000,
     budget_seconds: float = 30.0,
     flatten_cap: int | None = None,
@@ -113,8 +110,10 @@ def run_query(
 
     Returns one row per (partition key values, wid) with the aggregate
     columns named after each :class:`~repro.core.aggregates.AggSpec` plus
-    kernel metrics. ``approach`` selects Cogra or a Table-9 baseline;
-    unsupported combinations raise (checked by the registry).
+    kernel metrics; ``overflow`` marks a row with an aggregate beyond
+    double range (its column is null). ``approach`` selects Cogra or a
+    Table-9 baseline; unsupported combinations raise (checked by the
+    registry).
     """
     cq = query.compile()
     df = prepare_input(df, cq)
@@ -129,7 +128,6 @@ def run_query(
             approach,
             events,
             cq,
-            exact=exact,
             budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
             flatten_cap=flatten_cap,
         )

@@ -38,11 +38,12 @@ from repro.core.spark_runner import (
     result_schema,
 )
 
-_BATCH_ONLY_METRICS = {f.name for f in METRIC_FIELDS} - {"events"}
+_BATCH_ONLY_METRICS = {f.name for f in METRIC_FIELDS} - {"events", "overflow"}
 
 
 def streaming_result_schema(df: DataFrame, query: Query) -> T.StructType:
-    """The batch result schema with ``events`` as its only metric."""
+    """The batch result schema with ``events`` and ``overflow`` as its
+    only metrics."""
     fields = result_schema(df, query.compile()).fields
     return T.StructType([f for f in fields if f.name not in _BATCH_ONLY_METRICS])
 
@@ -71,7 +72,7 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
         if state.exists:
             agg = pickle.loads(state.get[0])
         else:
-            agg = executor.make_aggregator(cq, exact=True)
+            agg = executor.make_aggregator(cq)
         # Spark splits a key's micro-batch into Arrow-sized chunks; convert
         # them as one substream so its events reach the fold in time order.
         events = events_from_pandas(

@@ -13,7 +13,8 @@ One :class:`SweepPoint` per (experiment, sweep value, approach):
   (the paper's "fails to terminate").
 
 ``count_checksum`` sums COUNT(*) over all substreams so the harness can
-assert that every non-DNF approach produced identical results.
+assert that every non-DNF approach produced identical results; it is None
+when a finished substream's count overflowed a double.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ def run_point(
     experiment: str,
     x_name: str,
     x: float,
-    exact: bool = False,
     budget_units: int = 5_000_000,
     budget_seconds: float = 30.0,
     flatten_cap: int | None = None,
@@ -67,7 +67,6 @@ def run_point(
         df,
         query,
         approach=approach,
-        exact=exact,
         budget_units=budget_units,
         budget_seconds=budget_seconds,
         flatten_cap=flatten_cap,
@@ -77,9 +76,8 @@ def run_point(
     kernel_s = out.kernel_seconds.sum()
     events = int(out.events.sum())
     checksum = None
-    if "count_star" in out.columns and len(done):
-        s = done.count_star.sum()
-        checksum = None if (s is None or (isinstance(s, float) and math.isnan(s))) else float(s)
+    if "count_star" in out.columns and len(done) and not done.overflow.any():
+        checksum = float(done.count_star.sum())
     return SweepPoint(
         experiment=experiment,
         x_name=x_name,
@@ -107,7 +105,6 @@ def run_sweep(
     make_pdf,
     make_query,
     approaches: list[str],
-    exact: bool = False,
     budget_units: int = 5_000_000,
     budget_seconds: float = 30.0,
     flatten_cap=None,
@@ -131,7 +128,7 @@ def run_sweep(
                 continue
             p = run_point(
                 spark, pdf, query, ap,
-                experiment=experiment, x_name=x_name, x=x, exact=exact,
+                experiment=experiment, x_name=x_name, x=x,
                 budget_units=budget_units, budget_seconds=budget_seconds,
                 flatten_cap=cap,
             )

@@ -72,21 +72,22 @@ class TestMinMax:
 class TestSum:
     def test_weighted_by_trend_count(self):
         # Table 8: e.sum = e.attr * e.count + predecessor sums.
+        # Slots are exact binary fractions (num, k) = num / 2**k.
         s = Sum("A", "v")
-        assert s.on_event(10, "A", {"v": 3}, 4) == 22
-        assert s.on_event(10, "B", {"v": 3}, 4) == 10
+        assert s.on_event((10, 0), "A", {"v": 3}, 4) == (22, 0)
+        assert s.on_event((10, 0), "B", {"v": 3}, 4) == (10, 0)
 
     def test_merge(self):
-        assert Sum("A", "v").merge(2, 3) == 5
+        assert Sum("A", "v").merge((2, 0), (3, 0)) == (5, 0)
 
 
 class TestAvg:
     def test_pair_semantics(self):
         s = Avg("A", "v")
         v = s.on_event(s.init_val(), "A", {"v": 3}, 2)
-        assert v == (6, 2)
-        v = s.merge(v, (4, 1))
-        assert v == (10, 3)
+        assert v == (6, 0, 2)
+        v = s.merge(v, (4, 0, 1))
+        assert v == (10, 0, 3)
         assert s.finalize(v, 99) == pytest.approx(10 / 3)
 
     def test_empty_is_none(self):
@@ -98,18 +99,18 @@ class TestSlotHelpers:
     SPECS = (Count(), CountType("A"), Min("A", "v"), Sum("A", "v"))
 
     def test_init(self):
-        assert init_slots(self.SPECS) == [0, 0, None, 0]
+        assert init_slots(self.SPECS) == [0, 0, None, (0, 0)]
 
     def test_merge_in_place(self):
-        a = [0, 1, 5, 2]
-        merge_slots(self.SPECS, a, [0, 2, 3, 4])
-        assert a == [0, 3, 3, 6]
+        a = [0, 1, 5, (2, 0)]
+        merge_slots(self.SPECS, a, [0, 2, 3, (4, 0)])
+        assert a == [0, 3, 3, (6, 0)]
 
     def test_apply_event(self):
-        slots = [0, 1, None, 2]
+        slots = [0, 1, None, (2, 0)]
         apply_event_slots(self.SPECS, slots, "A", {"v": 7}, 3)
-        assert slots == [0, 4, 7, 23]
+        assert slots == [0, 4, 7, (23, 0)]
 
     def test_finalize_names(self):
-        out = finalize_slots(self.SPECS, [0, 4, 7, 23], 9)
+        out = finalize_slots(self.SPECS, [0, 4, 7, (23, 0)], 9)
         assert out == {"count_star": 9, "count_A": 4, "min_A_v": 7, "sum_A_v": 23}

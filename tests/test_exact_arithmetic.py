@@ -1,0 +1,95 @@
+"""Exact Table-8 arithmetic: closed forms beyond double range, exact SUM
+and correctly rounded AVG, non-finite attributes rejected, and the single
+rounding step in the Spark result rows."""
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pandas as pd
+import pytest
+from pyspark.sql import types as T
+
+from repro.core.aggregates import Avg, Count, CountType, Max, Min, Sum
+from repro.core.events import Event
+from repro.core.executor import aggregate_substream
+from repro.core.granularity import Semantics
+from repro.core.query import Query
+from repro.core.spark_runner import result_frame, run_query
+
+N = 5_000
+A_PLUS_ANY = Query(
+    pattern="A+",
+    semantics=Semantics.ANY,
+    aggregates=(Count(), CountType("A"), Sum("A", "v"), Avg("A", "v"),
+                Min("A", "v"), Max("A", "v")),
+    partition_by=("grp",),
+)
+
+
+def a_stream(values) -> list[Event]:
+    return [Event(i, i + 1, "A", {"v": v}) for i, v in enumerate(values)]
+
+
+def test_any_closed_forms_beyond_double_range():
+    """``A+`` under ANY: every non-empty subset of the n events is a trend,
+    so COUNT = 2^n - 1 and each event lies in 2^(n-1) of them."""
+    agg = aggregate_substream(a_stream([1.5] * N), A_PLUS_ANY.compile()).aggregates
+    assert agg["count_star"] == 2**N - 1
+    assert agg["count_A"] == N * 2 ** (N - 1)
+    assert agg["sum_A_v"] == Fraction(3, 2) * N * 2 ** (N - 1)
+    assert type(agg["count_star"]) is int and type(agg["sum_A_v"]) is int
+    assert agg["avg_A_v"] == agg["min_A_v"] == agg["max_A_v"] == 1.5
+    assert type(agg["avg_A_v"]) is float
+
+
+def test_run_query_nulls_and_flags_what_a_double_cannot_hold(spark):
+    pdf = pd.DataFrame(
+        {"time": np.arange(1, N + 1), "grp": np.zeros(N, dtype=np.int64),
+         "etype": ["A"] * N, "v": np.full(N, 1.5)}
+    )
+    rows = run_query(spark.createDataFrame(pdf), A_PLUS_ANY).collect()
+    assert len(rows) == 1
+    r = rows[0]
+    assert r.overflow is True
+    assert r.count_star is None and r.count_A is None and r.sum_A_v is None
+    assert r.avg_A_v == r.min_A_v == r.max_A_v == 1.5
+
+
+def test_float_sum_is_exact_and_avg_correctly_rounded():
+    values = [random.Random(7).uniform(-1e3, 1e3) for _ in range(40)]
+    exact_sum = sum(map(Fraction, values))
+    agg = aggregate_substream(a_stream(values), A_PLUS_ANY.compile()).aggregates
+    assert agg["sum_A_v"] == exact_sum * 2 ** 39
+    assert isinstance(agg["sum_A_v"], Fraction)
+    assert agg["avg_A_v"] == float(exact_sum / 40)
+    # The same trends in the reverse arrival order give the same values.
+    rev = aggregate_substream(a_stream(values[::-1]), A_PLUS_ANY.compile())
+    assert rev.aggregates == agg
+
+
+@pytest.mark.parametrize("spec", [Sum("A", "v"), Avg("A", "v")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sum_and_avg_reject_non_finite_attributes(spec, bad):
+    with pytest.raises(ValueError, match=f"{spec.name}: .*{bad!r}"):
+        spec.on_event(spec.init_val(), "A", {"v": bad}, 1)
+    cq = Query(pattern="A+", semantics=Semantics.NEXT, aggregates=(spec,)).compile()
+    with pytest.raises(ValueError, match=spec.name):
+        aggregate_substream(a_stream([1.0, bad]), cq)
+
+
+def test_result_frame_rounds_once_and_flags_overflow():
+    schema = T.StructType([
+        T.StructField("grp", T.LongType()),
+        T.StructField("count_star", T.DoubleType()),
+        T.StructField("sum_A_v", T.DoubleType()),
+        T.StructField("overflow", T.BooleanType()),
+    ])
+    big = result_frame(schema, (0,), {"count_star": 2**1024, "sum_A_v": Fraction(1, 3)})
+    assert big.to_dict("records") == [
+        {"grp": 0, "count_star": None, "sum_A_v": 1 / 3, "overflow": True}
+    ]
+    small = result_frame(schema, (1,), {"count_star": 2**1023, "sum_A_v": None})
+    assert small.to_dict("records") == [
+        {"grp": 1, "count_star": 2.0**1023, "sum_A_v": None, "overflow": False}
+    ]

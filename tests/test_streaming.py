@@ -61,9 +61,10 @@ def _run_streaming(spark, tmp_path, pdf, query, n_chunks=3):
     q.awaitTermination(120)
     rows = spark.sql(f"SELECT * FROM {sink}").toPandas()
     # Update mode appends one row per key per micro-batch; the final
-    # answer is the last row per key.
+    # answer is the last row per key (``GroupBy.last`` would instead take
+    # each column's last non-null value, hiding a null aggregate).
     keys = [*query.partition_by, "wid"]
-    return rows.groupby(keys, as_index=False).last()
+    return rows.groupby(keys).tail(1).sort_values(keys).reset_index(drop=True)
 
 
 @pytest.mark.parametrize(
@@ -176,9 +177,10 @@ def test_streaming_count_overflow_matches_batch(spark, tmp_path):
     )
     stream_res = _run_streaming(spark, tmp_path, pdf, query)
     batch_res = run_query(spark.createDataFrame(pdf), query).toPandas()
-    cols = ["grp", "wid", "count_star", "events"]
+    cols = ["grp", "wid", "count_star", "events", "overflow"]
     pd.testing.assert_frame_equal(
         stream_res[cols].astype({"wid": "int64"}),
         batch_res[cols].astype({"wid": "int64"}),
         check_dtype=False,
     )
+    assert stream_res.overflow.all()
