@@ -33,7 +33,6 @@ def run_each_substream(
     query: Query,
     approach: str,
     *,
-    flatten_cap: int | None = None,
     budget_units: int = 500_000_000,
     budget_seconds: float = 120.0,
 ) -> list[dict]:
@@ -46,7 +45,6 @@ def run_each_substream(
         r = run_approach(
             approach, ev, cq,
             budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
-            flatten_cap=flatten_cap,
         )
         assert not r.dnf, f"{approach} exceeded budget in a benchmark point"
         for name, v in r.aggregates.items():

@@ -6,7 +6,9 @@ supports only skip-till-any-match, and no predicates on adjacent events
 beyond equivalence predicates (Table 9). Following the paper's
 methodology, a Kleene query is flattened into the workload of fixed-length
 sequence queries covering every match length up to the longest possible
-match. A-Seq runs the whole workload online, with one prefix counter per
+match. Under skip-till-any-match any subsequence of the relevant events can
+be a match, so that length L is the number of relevant events in the
+substream. A-Seq runs the whole workload online, with one prefix counter per
 *distinct* query prefix — the workload forms a trie over the pattern's
 FSA digraph, rooted at the start type.
 
@@ -44,11 +46,9 @@ def run_aseq(
     cq: CompiledQuery,
     *,
     budget: Budget | None = None,
-    flatten_cap: int | None = None,
 ) -> KernelResult:
     """Flattened prefix-trie workload over one substream (ANY only,
-    no predicates on adjacent events). ``flatten_cap`` bounds the
-    flattened query lengths like in the Flink baseline."""
+    no predicates on adjacent events)."""
     if cq.semantics is not Semantics.ANY:
         raise ValueError("A-Seq supports skip-till-any-match only")
     if cq.adjacent_predicates:
@@ -60,7 +60,6 @@ def run_aseq(
     nslots = len(specs)
     relevant = [e for e in events if e.etype in an.pred_types]
     n = len(relevant)
-    max_len = n if flatten_cap is None else min(n, flatten_cap)
 
     # Trie node: [etype, parent_index, count, slot_0..slot_{k-1}].
     # Node 0 is the virtual root (count 1: "one way to match nothing").
@@ -74,7 +73,7 @@ def run_aseq(
         # length (= number of relevant events), breadth-first so parents
         # precede children.
         frontier = []
-        if max_len >= 1:
+        if n >= 1:
             nodes.append([an.start, 0, 0, *init_slots(specs)])
             by_type[an.start].append(1)
             frontier = [1]
@@ -82,7 +81,7 @@ def run_aseq(
                 finals.append(1)
             meter.add((1 + nslots) * BYTES_PER_AGG)
             budget.charge(1)
-        for _depth in range(2, max_len + 1):
+        for _depth in range(2, n + 1):
             nxt = []
             for pi in frontier:
                 ptype = nodes[pi][0]

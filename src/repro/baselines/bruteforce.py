@@ -20,7 +20,10 @@ This is the ground truth all aggregators and baselines are tested against:
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from repro.core.aggregates import AggSpec, Avg, Count, CountType, Max, Min, Sum
+from repro.core.aggregates import binary_fraction, ordered_value
 from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
@@ -31,12 +34,22 @@ class TrendExplosion(RuntimeError):
     """Raised when brute-force enumeration exceeds the configured cap."""
 
 
+def is_adjacent(cq: CompiledQuery, p: Event, e: Event) -> bool:
+    """Definition 7: ``e`` may directly follow ``p`` in a trend — the
+    pattern allows the type edge, time strictly increases, and every
+    predicate on adjacent events of these types holds."""
+    return (
+        p.etype in cq.analysis.pred_types[e.etype]
+        and p.time < e.time
+        and adjacency_holds(cq.adjacent_predicates, p.etype, p.attrs, e.etype, e.attrs)
+    )
+
+
 def enumerate_trends_any(
     events: list[Event], cq: CompiledQuery, *, max_trends: int = 2_000_000
 ) -> list[tuple[Event, ...]]:
     """All finished trends under skip-till-any-match (Definition 2)."""
     an = cq.analysis
-    preds = cq.adjacent_predicates
     relevant = [e for e in events if e.etype in an.pred_types]
     out: list[tuple[Event, ...]] = []
 
@@ -47,15 +60,10 @@ def enumerate_trends_any(
             if len(out) > max_trends:
                 raise TrendExplosion(f"more than {max_trends} trends")
         for e in relevant:
-            if e.time <= last.time:
-                continue  # Definition 7 requires strictly increasing time
-            if last.etype not in an.pred_types[e.etype]:
-                continue
-            if not adjacency_holds(preds, last.etype, last.attrs, e.etype, e.attrs):
-                continue
-            prefix.append(e)
-            extend(prefix)
-            prefix.pop()
+            if is_adjacent(cq, last, e):
+                prefix.append(e)
+                extend(prefix)
+                prefix.pop()
 
     for e in relevant:
         if e.etype == an.start:
@@ -68,7 +76,6 @@ def enumerate_trends_next_cont(
 ) -> list[tuple[Event, ...]]:
     """All finished trends under NEXT or CONT (operational semantics)."""
     an = cq.analysis
-    preds = cq.adjacent_predicates
     cont = cq.semantics is Semantics.CONT
     partials: list[list[Event]] = []
     last: Event | None = None
@@ -78,12 +85,7 @@ def enumerate_trends_next_cont(
             if cont:
                 partials, last = [], None
             continue
-        adjacent = (
-            last is not None
-            and last.etype in an.pred_types[e.etype]
-            and last.time < e.time
-            and adjacency_holds(preds, last.etype, last.attrs, e.etype, e.attrs)
-        )
+        adjacent = last is not None and is_adjacent(cq, last, e)
         started = e.etype == an.start
         if started or adjacent:
             new_partials = [p + [e] for p in partials] if adjacent else []
@@ -115,6 +117,10 @@ class TrendAccumulator:
     so (Flink stores all constructed sequences; SASE keeps only the
     current one, Section 9.3). It computes each aggregate per trend, not
     through the Table-8 algebra, so it stays independent of Cogra.
+
+    Arithmetic is exact like Cogra's, over the same value domain: SUM and
+    AVG add each attribute as an integer numerator over a common power of
+    two, and MIN/MAX reject NaN.
     """
 
     def __init__(self, specs: tuple[AggSpec, ...]) -> None:
@@ -122,10 +128,10 @@ class TrendAccumulator:
         self.count = 0
         self.vals: dict[str, object] = {}
         for s in specs:
-            if isinstance(s, (CountType, Sum)):
+            if isinstance(s, CountType):
                 self.vals[s.name] = 0
-            elif isinstance(s, Avg):
-                self.vals[s.name] = (0, 0)
+            elif isinstance(s, (Sum, Avg)):
+                self.vals[s.name] = [0, 0, 0]  # sum = num / 2**k; values added
             else:
                 self.vals[s.name] = None
 
@@ -138,21 +144,21 @@ class TrendAccumulator:
                 self.vals[s.name] += sum(1 for e in trend if e.etype == s.etype)
                 continue
             ev = [e.attrs[s.attr] for e in trend if e.etype == s.etype]
-            if isinstance(s, Sum):
-                self.vals[s.name] += sum(ev)
-            elif isinstance(s, Avg):
-                a, c = self.vals[s.name]
-                self.vals[s.name] = (a + sum(ev), c + len(ev))
-            elif isinstance(s, Min):
+            if isinstance(s, (Sum, Avg)):
+                acc = self.vals[s.name]
+                for x in ev:
+                    m, k = binary_fraction(s, x)
+                    if k > acc[1]:
+                        acc[0] <<= k - acc[1]
+                        acc[1] = k
+                    acc[0] += m << (acc[1] - k)
+                acc[2] += len(ev)
+            elif isinstance(s, (Min, Max)):
                 if ev:
+                    pick = min if isinstance(s, Min) else max
+                    m = pick(ordered_value(s, x) for x in ev)
                     cur = self.vals[s.name]
-                    m = min(ev)
-                    self.vals[s.name] = m if cur is None else min(cur, m)
-            elif isinstance(s, Max):
-                if ev:
-                    cur = self.vals[s.name]
-                    m = max(ev)
-                    self.vals[s.name] = m if cur is None else max(cur, m)
+                    self.vals[s.name] = m if cur is None else pick(cur, m)
             else:
                 raise TypeError(s)
 
@@ -161,9 +167,13 @@ class TrendAccumulator:
         for s in self.specs:
             if isinstance(s, Count):
                 out[s.name] = self.count
-            elif isinstance(s, Avg):
-                a, c = self.vals[s.name]
-                out[s.name] = None if c == 0 else a / c
+            elif isinstance(s, (Sum, Avg)):
+                num, k, c = self.vals[s.name]
+                total = Fraction(num, 1 << k)
+                if isinstance(s, Avg):
+                    out[s.name] = None if c == 0 else float(total / c)
+                else:
+                    out[s.name] = total.numerator if total.denominator == 1 else total
             else:
                 out[s.name] = self.vals[s.name]
         return out

@@ -8,16 +8,21 @@ sequence query is evaluated two-step — all matching sequences are
 constructed and stored, then aggregated. Flink supports the
 skip-till-any-match and contiguous semantics only (Table 9).
 
+L is measured on each substream (``flatten_length``). Under ANY it is the
+number of relevant events. Under CONT it is the longest stretch of
+consecutive events each adjacent (Definition 7) to the one before; an
+event of a type outside the pattern breaks the stretch. No match is
+longer than L, so the flattened workload is exact.
+
 Costs reproduced faithfully: per-length query workload (L separate
 evaluations), exponential construction under ANY, and memory linear in
 the total size of all stored sequences.
 """
 from __future__ import annotations
 
-from repro.baselines.bruteforce import TrendAccumulator
+from repro.baselines.bruteforce import TrendAccumulator, is_adjacent
 from repro.core.events import Event
 from repro.core.granularity import Semantics
-from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import (
     BYTES_PER_EVENT,
@@ -60,7 +65,6 @@ def _matches_any(
     emit,
 ) -> None:
     """All event subsequences matching one fixed type path under ANY."""
-    preds = cq.adjacent_predicates
     seq: list[Event] = []
 
     def dfs(pos: int, min_idx: int) -> None:
@@ -72,13 +76,8 @@ def _matches_any(
             if i < min_idx:
                 continue
             e = relevant[i]
-            if seq:
-                last = seq[-1]
-                if not (
-                    last.time < e.time
-                    and adjacency_holds(preds, last.etype, last.attrs, e.etype, e.attrs)
-                ):
-                    continue
+            if seq and not is_adjacent(cq, seq[-1], e):
+                continue
             seq.append(e)
             dfs(pos + 1, i + 1)
             seq.pop()
@@ -94,27 +93,37 @@ def _matches_cont(
     emit,
 ) -> None:
     """All contiguous event runs matching one fixed type path (CONT)."""
-    preds = cq.adjacent_predicates
     L = len(path)
     for o in range(len(events) - L + 1):
         budget.charge(1)
         ok = True
         for k in range(L):
             e = events[o + k]
-            if e.etype != path[k]:
-                ok = False
-                break
-            if k and not (
-                events[o + k - 1].time < e.time
-                and adjacency_holds(
-                    preds, events[o + k - 1].etype, events[o + k - 1].attrs,
-                    e.etype, e.attrs,
-                )
-            ):
+            if e.etype != path[k] or (k and not is_adjacent(cq, events[o + k - 1], e)):
                 ok = False
                 break
         if ok:
             emit(tuple(events[o : o + L]))
+
+
+def flatten_length(events: list[Event], cq: CompiledQuery) -> int:
+    """The length L of the longest possible match in one substream: the
+    number of relevant events under ANY; under CONT the longest stretch of
+    consecutive events in which each is adjacent to the one before (one
+    O(n) scan)."""
+    an = cq.analysis
+    if cq.semantics is Semantics.ANY:
+        return sum(1 for e in events if e.etype in an.pred_types)
+    longest = run = 0
+    last: Event | None = None
+    for e in events:
+        if e.etype not in an.pred_types:
+            run, last = 0, None
+            continue
+        run = run + 1 if last is not None and is_adjacent(cq, last, e) else 1
+        longest = max(longest, run)
+        last = e
+    return longest
 
 
 def run_flink_like(
@@ -122,15 +131,9 @@ def run_flink_like(
     cq: CompiledQuery,
     *,
     budget: Budget | None = None,
-    flatten_cap: int | None = None,
 ) -> KernelResult:
-    """Flattened fixed-length sequence workload over one substream.
-
-    ``flatten_cap`` bounds the flattened query lengths — the paper's
-    methodology fixes "the length l of the longest match" a priori; with
-    no cap, the worst case (longest possible match = substream size) is
-    assumed, which is exact but maximally expensive.
-    """
+    """Flattened fixed-length sequence workload over one substream: one
+    sequence query per match length 1..``flatten_length``."""
     if cq.semantics is Semantics.NEXT:
         raise ValueError("Flink baseline does not support skip-till-next-match")
     budget = budget or Budget()
@@ -150,8 +153,7 @@ def run_flink_like(
         budget.charge(len(seq))
 
     try:
-        max_len = n if flatten_cap is None else min(n, flatten_cap)
-        for length in range(1, max_len + 1):
+        for length in range(1, flatten_length(events, cq) + 1):
             for path in type_paths(cq, length, budget):
                 if cq.semantics is Semantics.ANY:
                     _matches_any(relevant, by_type, cq, path, budget, emit)

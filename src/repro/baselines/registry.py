@@ -106,20 +106,11 @@ def run_approach(
     cq: CompiledQuery,
     *,
     budget: Budget | None = None,
-    flatten_cap: int | None = None,
 ) -> KernelResult:
-    """Run one approach over one substream, timing it end to end.
-
-    ``flatten_cap`` bounds the flattened-workload length for the
-    no-Kleene approaches (Flink, A-Seq); the others ignore it.
-    """
+    """Run one approach over one substream, timing it end to end."""
     if not supports(name, cq):
         raise ValueError(f"approach {name!r} does not support this query (Table 9)")
-    info = APPROACHES[name]
-    kwargs: dict = {"budget": budget}
-    if not info.kleene:
-        kwargs["flatten_cap"] = flatten_cap
     t0 = time.perf_counter()
-    res = info.run(events, cq, **kwargs)
+    res = APPROACHES[name].run(events, cq, budget=budget)
     res.kernel_seconds = time.perf_counter() - t0
     return res

@@ -19,10 +19,9 @@ paper's "fails to terminate" outcomes become DNF rows instead of hangs.
 """
 from __future__ import annotations
 
-from repro.baselines.bruteforce import TrendAccumulator
+from repro.baselines.bruteforce import TrendAccumulator, is_adjacent
 from repro.core.events import Event
 from repro.core.granularity import Semantics
-from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import (
     BYTES_PER_EVENT,
@@ -43,21 +42,12 @@ def _construct_any(
 ) -> None:
     """Stack/pointer construction + DFS enumeration under ANY."""
     an = cq.analysis
-    preds = cq.adjacent_predicates
     relevant = [e for e in events if e.etype in an.pred_types]
     # Step 1: store events and compute predecessor pointers.
     meter.add(len(relevant) * BYTES_PER_EVENT)
     pointers: list[list[int]] = []
     for i, e in enumerate(relevant):
-        ptrs = [
-            j
-            for j in range(i)
-            if relevant[j].time < e.time
-            and relevant[j].etype in an.pred_types[e.etype]
-            and adjacency_holds(
-                preds, relevant[j].etype, relevant[j].attrs, e.etype, e.attrs
-            )
-        ]
+        ptrs = [j for j in range(i) if is_adjacent(cq, relevant[j], e)]
         pointers.append(ptrs)
         meter.add(len(ptrs) * BYTES_PER_POINTER)
         budget.charge(max(1, i))
@@ -92,7 +82,6 @@ def _construct_next_cont(
     """Two-step run construction under NEXT/CONT: partial trends are
     materialized (copy-on-extend), unlike Cogra's O(1) counters."""
     an = cq.analysis
-    preds = cq.adjacent_predicates
     cont = cq.semantics is Semantics.CONT
     partials: list[list[Event]] = []
     partial_bytes = 0
@@ -108,12 +97,7 @@ def _construct_next_cont(
             if cont:
                 drop_partials()
             continue
-        adjacent = (
-            last is not None
-            and last.etype in an.pred_types[e.etype]
-            and last.time < e.time
-            and adjacency_holds(preds, last.etype, last.attrs, e.etype, e.attrs)
-        )
+        adjacent = last is not None and is_adjacent(cq, last, e)
         started = e.etype == an.start
         if started or adjacent:
             if adjacent:

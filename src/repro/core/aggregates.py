@@ -122,12 +122,13 @@ class _Extremum(AggSpec):
         return self.keep(a, b)
 
     def on_event(self, val, etype, attrs, trend_count):
+        if etype != self.etype:
+            return val
+        x = ordered_value(self, attrs[self.attr])
         # Only absorb the value if some (partial) trend actually ends at
         # this event — an event with e.count = 0 extends no trend and must
         # not contribute (it has no adjacent predecessor yet).
-        if etype == self.etype and trend_count:
-            return self.merge(val, attrs[self.attr])
-        return val
+        return self.merge(val, x) if trend_count else val
 
     def finalize(self, val, final_count):
         return val
@@ -147,7 +148,15 @@ class Max(_Extremum):
         return a if a >= b else b
 
 
-def _binary_fraction(spec: AggSpec, x) -> tuple[int, int]:
+def ordered_value(spec: AggSpec, x):
+    """x itself, if MIN/MAX can compare it: NaN is unordered, so it would
+    make the extremum depend on arrival order."""
+    if x != x:
+        raise ValueError(f"{spec.name}: {x!r} is not an ordered value")
+    return x
+
+
+def binary_fraction(spec: AggSpec, x) -> tuple[int, int]:
     """(m, k) with x = m / 2**k, for a finite int or float x."""
     try:
         m, d = x.as_integer_ratio()
@@ -188,7 +197,7 @@ class Sum(AggSpec):
 
     def on_event(self, val, etype, attrs, trend_count):
         if etype == self.etype:
-            m, k = _binary_fraction(self, attrs[self.attr])
+            m, k = binary_fraction(self, attrs[self.attr])
             return _add(*val, m * trend_count, k)
         return val
 
@@ -220,7 +229,7 @@ class Avg(AggSpec):
 
     def on_event(self, val, etype, attrs, trend_count):
         if etype == self.etype:
-            m, k = _binary_fraction(self, attrs[self.attr])
+            m, k = binary_fraction(self, attrs[self.attr])
             return (*_add(val[0], val[1], m * trend_count, k), val[2] + trend_count)
         return val
 

@@ -57,10 +57,6 @@ class PatternAnalysis:
     def types(self) -> list[str]:
         return self.pattern.types()
 
-    def is_type(self, etype: str) -> bool:
-        """True iff ``etype`` appears in the pattern (relevant type)."""
-        return etype in self.pred_types
-
     def accepts(self, type_seq: list[str]) -> bool:
         """True iff a sequence of event types is matched by the pattern.
 

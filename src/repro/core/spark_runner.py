@@ -104,7 +104,6 @@ def run_query(
     approach: str = "cogra",
     budget_units: int = 5_000_000,
     budget_seconds: float = 30.0,
-    flatten_cap: int | None = None,
 ) -> DataFrame:
     """Evaluate an event trend aggregation query over a batch DataFrame.
 
@@ -129,7 +128,6 @@ def run_query(
             events,
             cq,
             budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
-            flatten_cap=flatten_cap,
         )
         return result_frame(
             schema,

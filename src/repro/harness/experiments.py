@@ -96,7 +96,6 @@ def exp_cont(spark: SparkSession, *, xs=(1_000, 5_000, 20_000, 50_000),
         make_pdf=lambda n: activity_stream_pdf(n=n, seed=10),
         make_query=lambda n: Q1,
         approaches=["flink", "sase", "cogra"],
-        flatten_cap=64,  # longest contiguous increasing run is far shorter
         verbose=verbose,
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -44,7 +44,6 @@ class SweepPoint:
     wall_s: float = 0.0
     dnf_frac: float = 0.0
     count_checksum: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def run_point(
@@ -58,7 +57,6 @@ def run_point(
     x: float,
     budget_units: int = 5_000_000,
     budget_seconds: float = 30.0,
-    flatten_cap: int | None = None,
 ) -> SweepPoint:
     """Run one approach on one workload through the Spark pipeline."""
     df = spark.createDataFrame(pdf)
@@ -69,7 +67,6 @@ def run_point(
         approach=approach,
         budget_units=budget_units,
         budget_seconds=budget_seconds,
-        flatten_cap=flatten_cap,
     ).toPandas()
     wall = time.perf_counter() - t0
     done = out[~out.dnf]
@@ -107,21 +104,19 @@ def run_sweep(
     approaches: list[str],
     budget_units: int = 5_000_000,
     budget_seconds: float = 30.0,
-    flatten_cap=None,
     verbose: bool = True,
 ) -> list[SweepPoint]:
     """Run every supported approach at every sweep value.
 
-    ``make_pdf(x)`` builds the workload, ``make_query(x)`` the query, and
-    ``flatten_cap`` may be a constant or a callable of ``x``. Asserts all
-    non-DNF approaches agree on the COUNT(*) checksum at each point.
+    ``make_pdf(x)`` builds the workload and ``make_query(x)`` the query.
+    Asserts all non-DNF approaches agree on the COUNT(*) checksum at each
+    point.
     """
     points: list[SweepPoint] = []
     for x in xs:
         pdf = make_pdf(x)
         query = make_query(x)
         cq = query.compile()
-        cap = flatten_cap(x) if callable(flatten_cap) else flatten_cap
         at_x: list[SweepPoint] = []
         for ap in approaches:
             if not supports(ap, cq):
@@ -130,7 +125,6 @@ def run_sweep(
                 spark, pdf, query, ap,
                 experiment=experiment, x_name=x_name, x=x,
                 budget_units=budget_units, budget_seconds=budget_seconds,
-                flatten_cap=cap,
             )
             at_x.append(p)
             if verbose:

@@ -8,7 +8,7 @@ from repro.baselines.bruteforce import (
     aggregate_bruteforce,
     enumerate_trends,
 )
-from repro.baselines.flink_like import run_flink_like, type_paths
+from repro.baselines.flink_like import flatten_length, run_flink_like, type_paths
 from repro.baselines.greta import run_greta
 from repro.baselines.registry import run_approach
 from repro.baselines.sase import run_sase
@@ -157,20 +157,41 @@ class TestFlattening:
         assert type_paths(cq, 5, b) == []
         assert len(type_paths(cq, 6, b)) == 1
 
-    def test_flatten_cap_bounds_lengths(self):
-        events = mk("AAAAB")
-        cq = cq_of()
-        capped = run_flink_like(events, cq, flatten_cap=2)
-        full = run_flink_like(events, cq)
-        # Cap 2 only finds the length-2 trends (single-a before the b).
-        assert capped.aggregates["count_star"] == 4
-        assert full.aggregates["count_star"] == 2 ** 4 - 1
+    def test_flatten_length_any_is_relevant_event_count(self):
+        events = mk("AZBAB")
+        assert flatten_length(events, cq_of()) == 4
 
-    def test_aseq_flatten_cap(self):
-        events = mk("AAAA")
-        cq = cq_of("A+")
-        assert run_aseq(events, cq, flatten_cap=1).aggregates["count_star"] == 4
-        assert run_aseq(events, cq).aggregates["count_star"] == 2 ** 4 - 1
+    def test_flatten_length_cont_is_longest_adjacent_stretch(self):
+        rising = (AdjacentPredicate("A", "v", "<", "A", "v"),)
+        cq = cq_of("A+", Semantics.CONT, rising)
+        # v: 0 1 2 | 0 1 | Z | 1 2 3 4 ; a time tie also breaks a stretch.
+        vs = [0, 1, 2, 0, 1, None, 1, 2, 3, 4]
+        events = [
+            Event(i, i + 1, "Z" if v is None else "A", {"v": v})
+            for i, v in enumerate(vs)
+        ]
+        assert flatten_length(events, cq) == 4
+        events[8] = Event(8, 8, "A", {"v": 3})  # same time as its predecessor
+        assert flatten_length(events, cq) == 3
+        assert flatten_length([], cq) == 0
+
+    def test_flink_cont_measures_the_longest_run(self):
+        """The flattening length comes from the input: a long rising run is
+        counted in full, and a stream of short runs stays cheap."""
+        cq = Query(
+            pattern="M+",
+            semantics=Semantics.CONT,
+            adjacent_predicates=(AdjacentPredicate("M", "v", "<", "M", "v"),),
+        ).compile()
+        short_runs = [Event(i, i + 1, "M", {"v": i % 4}) for i in range(2_000)]
+        res = run_flink_like(short_runs, cq, budget=Budget(max_units=100_000))
+        assert not res.dnf
+        assert res.aggregates["count_star"] == 5_000
+        assert res.aggregates == aggregate_bruteforce(short_runs, cq)
+        rising = [Event(i, i + 1, "M", {"v": i}) for i in range(100)]
+        res = run_flink_like(rising, cq)
+        assert res.aggregates["count_star"] == 5_050
+        assert res.aggregates == aggregate_bruteforce(rising, cq)
 
 
 class TestGretaProperties:

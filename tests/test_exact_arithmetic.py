@@ -1,6 +1,6 @@
 """Exact Table-8 arithmetic: closed forms beyond double range, exact SUM
-and correctly rounded AVG, non-finite attributes rejected, and the single
-rounding step in the Spark result rows."""
+and correctly rounded AVG, non-finite attributes rejected (NaN also by
+MIN/MAX), and the single rounding step in the Spark result rows."""
 import math
 import random
 from fractions import Fraction
@@ -10,6 +10,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import types as T
 
+from repro.baselines.bruteforce import aggregate_bruteforce
+from repro.baselines.registry import APPROACHES, run_approach, supports
 from repro.core.aggregates import Avg, Count, CountType, Max, Min, Sum
 from repro.core.events import Event
 from repro.core.executor import aggregate_substream
@@ -76,6 +78,27 @@ def test_sum_and_avg_reject_non_finite_attributes(spec, bad):
     cq = Query(pattern="A+", semantics=Semantics.NEXT, aggregates=(spec,)).compile()
     with pytest.raises(ValueError, match=spec.name):
         aggregate_substream(a_stream([1.0, bad]), cq)
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, math.nan, 2.0], [math.nan, 1.0, 2.0], [2.0, 1.0, math.nan]]
+)
+def test_min_and_max_reject_nan_in_every_approach(values):
+    """NaN has no order, so an extremum over it would depend on the arrival
+    order; every approach and the oracle raise instead."""
+    cq = Query(pattern="A+", semantics=Semantics.ANY,
+               aggregates=(Min("A", "v"), Max("A", "v"))).compile()
+    events = a_stream(values)
+    bad = r"(min|max)_A_v: nan is not an ordered value"
+    with pytest.raises(ValueError, match=bad):
+        aggregate_bruteforce(events, cq)
+    for name in APPROACHES:
+        assert supports(name, cq)
+        with pytest.raises(ValueError, match=bad):
+            run_approach(name, events, cq)
+    # Rejected even where no trend reaches the event (e.count = 0).
+    with pytest.raises(ValueError, match=bad):
+        Min("A", "v").on_event(None, "A", {"v": math.nan}, 0)
 
 
 def test_result_frame_rounds_once_and_flags_overflow():

@@ -114,12 +114,6 @@ def test_accepts(text, word, ok):
     assert an(text).accepts(word) is ok
 
 
-def test_is_type():
-    a = an("SEQ(A+, B)")
-    assert a.is_type("A") and a.is_type("B")
-    assert not a.is_type("C")
-
-
 def test_types_property():
     assert an("SEQ(Accept, (SEQ(Call, Cancel))+, Finish)").types == [
         "Accept", "Call", "Cancel", "Finish",

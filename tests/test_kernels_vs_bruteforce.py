@@ -57,6 +57,16 @@ def mkstream_dyadic(n: int, seed: int, types: str = "ABC") -> list[Event]:
     ]
 
 
+def mkstream_random_floats(n: int, seed: int, types: str = "ABC") -> list[Event]:
+    """Non-dyadic float attributes: the oracle sums them exactly too, so
+    every approach must equal it with ``==``."""
+    rng = random.Random(seed)
+    return [
+        Event(i, i + 1, rng.choice(types), {"v": rng.random()})
+        for i in range(n)
+    ]
+
+
 def check_all_approaches(events, pattern, semantics, pred_key):
     cq = Query(
         pattern=pattern,
@@ -91,6 +101,18 @@ def test_all_approaches_match_bruteforce_dyadic_floats(
     pattern, semantics, pred_key, seed
 ):
     check_all_approaches(mkstream_dyadic(11, seed), pattern, semantics, pred_key)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("pred_key", list(PRED_SETS))
+@pytest.mark.parametrize("seed", range(2))
+def test_all_approaches_match_bruteforce_random_floats(
+    pattern, semantics, pred_key, seed
+):
+    check_all_approaches(
+        mkstream_random_floats(11, seed), pattern, semantics, pred_key
+    )
 
 
 @pytest.mark.parametrize("semantics", list(Semantics))
