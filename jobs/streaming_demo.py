@@ -59,12 +59,15 @@ def main() -> None:
             .start()
         )
         q.awaitTermination(300)
+        # Update mode appends one row per key and micro-batch. ``events``
+        # is cumulative per key, so the final row is the one with the
+        # most events (``last`` is non-deterministic after a shuffle).
         rows = spark.sql(
             """
             SELECT sector, company, wid,
-                   last(count_star) AS count_star,
-                   last(avg_U_price) AS avg_U_price,
-                   last(events) AS events
+                   max_by(count_star, events) AS count_star,
+                   max_by(avg_U_price, events) AS avg_U_price,
+                   max(events) AS events
             FROM cogra_demo GROUP BY sector, company, wid
             ORDER BY sector, company, wid
             """

@@ -30,31 +30,15 @@ from repro.core.aggregates import (
     merge_slots,
 )
 from repro.core.events import Event
-from repro.core.granularity import Semantics
 from repro.core.query import CompiledQuery
-from repro.harness.metrics import (
-    BYTES_PER_AGG,
-    Budget,
-    BudgetExceeded,
-    KernelResult,
-    StateMeter,
-)
+from repro.harness.metrics import BYTES_PER_AGG, Budget, KernelResult
 
 
 def run_aseq(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    budget: Budget | None = None,
-) -> KernelResult:
-    """Flattened prefix-trie workload over one substream (ANY only,
-    no predicates on adjacent events)."""
-    if cq.semantics is not Semantics.ANY:
-        raise ValueError("A-Seq supports skip-till-any-match only")
-    if cq.adjacent_predicates:
-        raise ValueError("A-Seq does not support predicates on adjacent events")
-    budget = budget or Budget()
-    meter = StateMeter()
+    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+) -> dict:
+    """Flattened prefix-trie workload over one substream."""
+    meter = res.meter
     an = cq.analysis
     specs = cq.specs
     nslots = len(specs)
@@ -68,62 +52,54 @@ def run_aseq(
     by_type: dict[str, list[int]] = {t: [] for t in an.pred_types}
     finals: list[int] = []
 
-    try:
-        # Build the flattened workload up to the longest possible match
-        # length (= number of relevant events), breadth-first so parents
-        # precede children.
-        frontier = []
-        if n >= 1:
-            nodes.append([an.start, 0, 0, *init_slots(specs)])
-            by_type[an.start].append(1)
-            frontier = [1]
-            if an.start == an.end:
-                finals.append(1)
-            meter.add((1 + nslots) * BYTES_PER_AGG)
-            budget.charge(1)
-        for _depth in range(2, n + 1):
-            nxt = []
-            for pi in frontier:
-                ptype = nodes[pi][0]
-                for t in an.succ_types[ptype]:
-                    ni = len(nodes)
-                    nodes.append([t, pi, 0, *init_slots(specs)])
-                    by_type[t].append(ni)
-                    if t == an.end:
-                        finals.append(ni)
-                    nxt.append(ni)
-                    meter.add((1 + nslots) * BYTES_PER_AGG)
-                    budget.charge(1)
-            frontier = nxt
-
-        # Online phase: an event of type t advances every prefix cell
-        # labelled t from its parent cell. Children were appended after
-        # parents, so iterating the per-type list in reverse prevents an
-        # event from chaining with itself inside one workload query.
-        for e in relevant:
-            attrs = e.attrs
-            et = e.etype
-            for ni in reversed(by_type[et]):
+    # Build the flattened workload up to the longest possible match
+    # length (= number of relevant events), breadth-first so parents
+    # precede children.
+    frontier = []
+    if n >= 1:
+        nodes.append([an.start, 0, 0, *init_slots(specs)])
+        by_type[an.start].append(1)
+        frontier = [1]
+        if an.start == an.end:
+            finals.append(1)
+        meter.add((1 + nslots) * BYTES_PER_AGG)
+        budget.charge(1)
+    for _depth in range(2, n + 1):
+        nxt = []
+        for pi in frontier:
+            ptype = nodes[pi][0]
+            for t in an.succ_types[ptype]:
+                ni = len(nodes)
+                nodes.append([t, pi, 0, *init_slots(specs)])
+                by_type[t].append(ni)
+                if t == an.end:
+                    finals.append(ni)
+                nxt.append(ni)
+                meter.add((1 + nslots) * BYTES_PER_AGG)
                 budget.charge(1)
-                node = nodes[ni]
-                parent = nodes[node[1]]
-                p_count = parent[2]
-                if p_count == 0:
-                    continue
-                slots = init_slots(specs)
-                if nslots:
-                    merge_slots(specs, slots, parent[CELL0:])
-                apply_event_slots(specs, slots, et, attrs, p_count)
-                node[2] += p_count
-                for i in range(nslots):
-                    node[CELL0 + i] = specs[i].merge(node[CELL0 + i], slots[i])
-    except BudgetExceeded:
-        return KernelResult(
-            aggregates={s.name: None for s in specs},
-            events_processed=n,
-            peak_state_bytes=meter.peak,
-            dnf=True,
-        )
+        frontier = nxt
+
+    # Online phase: an event of type t advances every prefix cell
+    # labelled t from its parent cell. Children were appended after
+    # parents, so iterating the per-type list in reverse prevents an
+    # event from chaining with itself inside one workload query.
+    for e in relevant:
+        attrs = e.attrs
+        et = e.etype
+        for ni in reversed(by_type[et]):
+            budget.charge(1)
+            node = nodes[ni]
+            parent = nodes[node[1]]
+            p_count = parent[2]
+            if p_count == 0:
+                continue
+            slots = init_slots(specs)
+            if nslots:
+                merge_slots(specs, slots, parent[CELL0:])
+            apply_event_slots(specs, slots, et, attrs, p_count)
+            node[2] += p_count
+            for i in range(nslots):
+                node[CELL0 + i] = specs[i].merge(node[CELL0 + i], slots[i])
 
     final_count = 0
     final_slots = init_slots(specs)
@@ -132,8 +108,4 @@ def run_aseq(
         final_count += node[2]
         for i in range(nslots):
             final_slots[i] = specs[i].merge(final_slots[i], node[CELL0 + i])
-    return KernelResult(
-        aggregates=finalize_slots(specs, final_slots, final_count),
-        events_processed=n,
-        peak_state_bytes=meter.peak,
-    )
+    return finalize_slots(specs, final_slots, final_count)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.aggregates import AggSpec, Avg, Count, CountType, Max, Min, Sum
-from repro.core.aggregates import binary_fraction, ordered_value
+from repro.core.aggregates import binary_fraction, check_domain, ordered_value
 from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
@@ -183,7 +183,11 @@ def aggregate_bruteforce(
     events: list[Event], cq: CompiledQuery, *, max_trends: int = 2_000_000
 ) -> dict:
     """Per-group aggregates computed trend-by-trend over all finished
-    trends; output keys match the incremental kernels'."""
+    trends; output keys match the incremental kernels'. Every relevant
+    event's aggregated attributes must be in their functions' domains."""
+    for e in events:
+        if e.etype in cq.analysis.pred_types:
+            check_domain(cq.specs, e.etype, e.attrs)
     acc = TrendAccumulator(cq.specs)
     for trend in enumerate_trends(events, cq, max_trends=max_trends):
         acc.add_trend(trend)

@@ -24,13 +24,7 @@ from repro.baselines.bruteforce import TrendAccumulator, is_adjacent
 from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.query import CompiledQuery
-from repro.harness.metrics import (
-    BYTES_PER_EVENT,
-    Budget,
-    BudgetExceeded,
-    KernelResult,
-    StateMeter,
-)
+from repro.harness.metrics import BYTES_PER_EVENT, Budget, KernelResult
 
 
 def type_paths(cq: CompiledQuery, length: int, budget: Budget) -> list[tuple[str, ...]]:
@@ -127,52 +121,31 @@ def flatten_length(events: list[Event], cq: CompiledQuery) -> int:
 
 
 def run_flink_like(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    budget: Budget | None = None,
-) -> KernelResult:
+    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+) -> dict:
     """Flattened fixed-length sequence workload over one substream: one
     sequence query per match length 1..``flatten_length``."""
-    if cq.semantics is Semantics.NEXT:
-        raise ValueError("Flink baseline does not support skip-till-next-match")
-    budget = budget or Budget()
-    meter = StateMeter()
     an = cq.analysis
     relevant = [e for e in events if e.etype in an.pred_types]
     by_type: dict[str, list[int]] = {t: [] for t in an.pred_types}
     for i, e in enumerate(relevant):
         by_type[e.etype].append(i)
-    n = len(relevant)
     # Flink stores every constructed sequence before aggregating.
     stored: list[tuple[Event, ...]] = []
 
     def emit(seq: tuple[Event, ...]) -> None:
         stored.append(seq)
-        meter.add(len(seq) * BYTES_PER_EVENT)
+        res.trends_constructed += 1
+        res.meter.add(len(seq) * BYTES_PER_EVENT)
         budget.charge(len(seq))
 
-    try:
-        for length in range(1, flatten_length(events, cq) + 1):
-            for path in type_paths(cq, length, budget):
-                if cq.semantics is Semantics.ANY:
-                    _matches_any(relevant, by_type, cq, path, budget, emit)
-                else:
-                    _matches_cont(events, cq, path, budget, emit)
-    except BudgetExceeded:
-        return KernelResult(
-            aggregates={s.name: None for s in cq.specs},
-            events_processed=n,
-            peak_state_bytes=meter.peak,
-            dnf=True,
-            trends_constructed=len(stored),
-        )
+    for length in range(1, flatten_length(events, cq) + 1):
+        for path in type_paths(cq, length, budget):
+            if cq.semantics is Semantics.ANY:
+                _matches_any(relevant, by_type, cq, path, budget, emit)
+            else:
+                _matches_cont(events, cq, path, budget, emit)
     acc = TrendAccumulator(cq.specs)
     for seq in stored:
         acc.add_trend(seq)
-    return KernelResult(
-        aggregates=acc.result(),
-        events_processed=n,
-        peak_state_bytes=meter.peak,
-        trends_constructed=len(stored),
-    )
+    return acc.result()

@@ -16,30 +16,15 @@ from repro.core.aggregates import (
     merge_slots,
 )
 from repro.core.events import Event
-from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
-from repro.harness.metrics import (
-    BYTES_PER_AGG,
-    BYTES_PER_EVENT,
-    Budget,
-    BudgetExceeded,
-    KernelResult,
-    StateMeter,
-)
+from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, Budget, KernelResult
 
 
 def run_greta(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    budget: Budget | None = None,
-) -> KernelResult:
-    """Event-grained online aggregation over one substream (ANY only)."""
-    if cq.semantics is not Semantics.ANY:
-        raise ValueError("GRETA supports skip-till-any-match only")
-    budget = budget or Budget()
-    meter = StateMeter()
+    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+) -> dict:
+    """Event-grained online aggregation over one substream."""
     an = cq.analysis
     specs = cq.specs
     preds = cq.adjacent_predicates
@@ -52,39 +37,25 @@ def run_greta(
     }
     final_count = 0
     final_slots = init_slots(specs)
-    n = 0
-    try:
-        for e in events:
-            et = e.etype
-            if et not in an.pred_types:
-                continue
-            n += 1
-            e_count = 1 if et == an.start else 0
-            slots = init_slots(specs)
-            for ep_type in an.pred_types[et]:
-                for p_event, p_count, p_slots in graph[ep_type]:
-                    budget.charge(1)
-                    if p_event.time < e.time and adjacency_holds(
-                        preds, ep_type, p_event.attrs, et, e.attrs
-                    ):
-                        e_count += p_count
-                        if nslots:
-                            merge_slots(specs, slots, p_slots)
-            apply_event_slots(specs, slots, et, e.attrs, e_count)
-            graph[et].append((e, e_count, slots))
-            meter.add(BYTES_PER_EVENT + (1 + nslots) * BYTES_PER_AGG)
-            if et == an.end:
-                final_count += e_count
-                merge_slots(specs, final_slots, slots)
-    except BudgetExceeded:
-        return KernelResult(
-            aggregates={s.name: None for s in specs},
-            events_processed=n,
-            peak_state_bytes=meter.peak,
-            dnf=True,
-        )
-    return KernelResult(
-        aggregates=finalize_slots(specs, final_slots, final_count),
-        events_processed=n,
-        peak_state_bytes=meter.peak,
-    )
+    for e in events:
+        et = e.etype
+        if et not in an.pred_types:
+            continue
+        e_count = 1 if et == an.start else 0
+        slots = init_slots(specs)
+        for ep_type in an.pred_types[et]:
+            for p_event, p_count, p_slots in graph[ep_type]:
+                budget.charge(1)
+                if p_event.time < e.time and adjacency_holds(
+                    preds, ep_type, p_event.attrs, et, e.attrs
+                ):
+                    e_count += p_count
+                    if nslots:
+                        merge_slots(specs, slots, p_slots)
+        apply_event_slots(specs, slots, et, e.attrs, e_count)
+        graph[et].append((e, e_count, slots))
+        res.meter.add(BYTES_PER_EVENT + (1 + nslots) * BYTES_PER_AGG)
+        if et == an.end:
+            final_count += e_count
+            merge_slots(specs, final_slots, slots)
+    return finalize_slots(specs, final_slots, final_count)

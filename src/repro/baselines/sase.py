@@ -13,9 +13,6 @@ description:
   (Section 9.3), so memory = events + pointers + current-trend depth,
   while time is proportional to the total constructed-trend length —
   exponential under ANY, polynomial under NEXT/CONT (Table 3).
-
-A :class:`~repro.harness.metrics.Budget` bounds the construction so the
-paper's "fails to terminate" outcomes become DNF rows instead of hangs.
 """
 from __future__ import annotations
 
@@ -24,12 +21,7 @@ from repro.core.events import Event
 from repro.core.granularity import Semantics
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import (
-    BYTES_PER_EVENT,
-    BYTES_PER_POINTER,
-    Budget,
-    BudgetExceeded,
-    KernelResult,
-    StateMeter,
+    BYTES_PER_EVENT, BYTES_PER_POINTER, Budget, KernelResult,
 )
 
 
@@ -37,11 +29,12 @@ def _construct_any(
     events: list[Event],
     cq: CompiledQuery,
     acc: TrendAccumulator,
-    meter: StateMeter,
+    res: KernelResult,
     budget: Budget,
 ) -> None:
     """Stack/pointer construction + DFS enumeration under ANY."""
     an = cq.analysis
+    meter = res.meter
     relevant = [e for e in events if e.etype in an.pred_types]
     # Step 1: store events and compute predecessor pointers.
     meter.add(len(relevant) * BYTES_PER_EVENT)
@@ -62,6 +55,7 @@ def _construct_any(
         meter.add(BYTES_PER_EVENT)
         if relevant[i].etype == start:
             acc.add_trend(tuple(reversed(path)))
+            res.trends_constructed += 1
         for j in pointers[i]:
             dfs(j)
         path.pop()
@@ -76,12 +70,13 @@ def _construct_next_cont(
     events: list[Event],
     cq: CompiledQuery,
     acc: TrendAccumulator,
-    meter: StateMeter,
+    res: KernelResult,
     budget: Budget,
 ) -> None:
     """Two-step run construction under NEXT/CONT: partial trends are
     materialized (copy-on-extend), unlike Cogra's O(1) counters."""
     an = cq.analysis
+    meter = res.meter
     cont = cq.semantics is Semantics.CONT
     partials: list[list[Event]] = []
     partial_bytes = 0
@@ -116,38 +111,19 @@ def _construct_next_cont(
             if e.etype == an.end:
                 for p in new_partials:
                     acc.add_trend(tuple(p))
+                res.trends_constructed += len(new_partials)
             partials, last = new_partials, e
         elif cont:
             drop_partials()
 
 
 def run_sase(
-    events: list[Event],
-    cq: CompiledQuery,
-    *,
-    budget: Budget | None = None,
-) -> KernelResult:
-    """Two-step SASE over one substream; DNF on budget exhaustion."""
-    budget = budget or Budget()
-    meter = StateMeter()
+    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+) -> dict:
+    """Two-step SASE over one substream: construct, then aggregate."""
     acc = TrendAccumulator(cq.specs)
-    n = sum(1 for e in events if e.etype in cq.analysis.pred_types)
-    try:
-        if cq.semantics is Semantics.ANY:
-            _construct_any(events, cq, acc, meter, budget)
-        else:
-            _construct_next_cont(events, cq, acc, meter, budget)
-    except (BudgetExceeded, RecursionError):
-        return KernelResult(
-            aggregates={s.name: None for s in cq.specs},
-            events_processed=n,
-            peak_state_bytes=meter.peak,
-            dnf=True,
-            trends_constructed=acc.count,
-        )
-    return KernelResult(
-        aggregates=acc.result(),
-        events_processed=n,
-        peak_state_bytes=meter.peak,
-        trends_constructed=acc.count,
-    )
+    if cq.semantics is Semantics.ANY:
+        _construct_any(events, cq, acc, res, budget)
+    else:
+        _construct_next_cont(events, cq, acc, res, budget)
+    return acc.result()

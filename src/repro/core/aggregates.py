@@ -239,6 +239,22 @@ class Avg(AggSpec):
         return None if c == 0 else num / (c << k)
 
 
+def check_domain(specs: tuple[AggSpec, ...], etype: str, attrs: Mapping) -> None:
+    """Raise ``ValueError`` if an attribute aggregated over events of
+    ``etype`` is outside its function's domain: SUM/AVG take finite ints
+    and floats, MIN/MAX any ordered value (so ±inf, but not NaN). Runs on
+    every relevant event, whether or not a trend reaches it, so that every
+    approach rejects the same inputs."""
+    for s in specs:
+        if isinstance(s, (Sum, Avg)) and s.etype == etype:
+            x = attrs[s.attr]
+            # Fast path: every int and every finite float is accepted.
+            if not (type(x) is float and x - x == 0.0 or type(x) is int):
+                binary_fraction(s, x)
+        elif isinstance(s, _Extremum) and s.etype == etype:
+            ordered_value(s, attrs[s.attr])
+
+
 def init_slots(specs: tuple[AggSpec, ...]) -> list:
     """Fresh slot vector for a node no trend reaches yet."""
     return [s.init_val() for s in specs]

@@ -73,11 +73,11 @@ class Query:
         event_grained = classify_event_grained_types(
             analysis, self.adjacent_predicates
         )
+        # Local predicates run before the column select, so only the
+        # attributes the kernels read are kept.
         attr_cols: set[str] = set()
         for p in self.adjacent_predicates:
             attr_cols.update((p.pred_attr, p.succ_attr))
-        for lp in self.local_predicates:
-            attr_cols.add(lp.attr)
         for a in self.aggregates:
             if hasattr(a, "attr"):
                 attr_cols.add(a.attr)  # type: ignore[attr-defined]

@@ -10,7 +10,9 @@ every micro-batch, mirroring the paper's per-slide outputs. State has no
 timeout and is never evicted (ROADMAP item 2).
 
 The input and output paths are the batch runner's (``prepare_input``,
-``result_frame``) and the event loop is the executor's ``fold``.
+``result_frame``) and the event loop is the executor's ``fold``. Like
+``registry.run_approach``, each micro-batch checks the attribute domains
+of every relevant event before folding it.
 
 Ordering: Definition-7 adjacency is order-sensitive. All of a key's events
 in one micro-batch are sorted by timestamp together, and micro-batches are
@@ -29,6 +31,7 @@ from pyspark.sql import types as T
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core import executor
+from repro.core.aggregates import check_domain
 from repro.core.events import events_from_pandas
 from repro.core.query import Query
 from repro.core.spark_runner import (
@@ -63,6 +66,7 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
     stream_df = prepare_input(stream_df, cq)
     out_schema = streaming_result_schema(stream_df, query)
     time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
+    pred_types, specs = cq.analysis.pred_types, cq.specs
 
     def fold(
         key: Tuple[Any, ...],
@@ -81,6 +85,9 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
             type_col=type_col,
             attr_cols=attr_cols,
         )
+        for e in events:
+            if e.etype in pred_types:
+                check_domain(specs, e.etype, e.attrs)
         executor.fold(agg, events)
         state.update((pickle.dumps(agg),))
         yield result_frame(

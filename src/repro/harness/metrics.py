@@ -90,3 +90,5 @@ class KernelResult:
     kernel_seconds: float = 0.0  # timed by registry.run_approach
     dnf: bool = False  # did-not-finish (budget exceeded)
     trends_constructed: int = 0  # two-step approaches only
+    # The run's state accounting; registry.run_approach copies its peak.
+    meter: StateMeter = field(default_factory=StateMeter, repr=False, compare=False)

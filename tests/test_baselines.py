@@ -2,16 +2,13 @@
 handling, two-step construction counts, and the flattening machinery."""
 import pytest
 
-from repro.baselines.aseq import run_aseq
 from repro.baselines.bruteforce import (
     TrendExplosion,
     aggregate_bruteforce,
     enumerate_trends,
 )
-from repro.baselines.flink_like import flatten_length, run_flink_like, type_paths
-from repro.baselines.greta import run_greta
+from repro.baselines.flink_like import flatten_length, type_paths
 from repro.baselines.registry import run_approach
-from repro.baselines.sase import run_sase
 from repro.core.aggregates import Avg, Count, CountType, Max, Min, Sum
 from repro.core.events import Event
 from repro.core.granularity import Semantics
@@ -33,21 +30,22 @@ def cq_of(pattern="(SEQ(A+, B))+", semantics=Semantics.ANY, preds=()):
 class TestCapabilityErrors:
     def test_greta_rejects_next_cont(self):
         for sem in (Semantics.NEXT, Semantics.CONT):
-            with pytest.raises(ValueError):
-                run_greta(mk("AB"), cq_of(semantics=sem))
+            with pytest.raises(ValueError, match="Table 9"):
+                run_approach("greta", mk("AB"), cq_of(semantics=sem))
 
     def test_aseq_rejects_non_any_and_predicates(self):
-        with pytest.raises(ValueError):
-            run_aseq(mk("AB"), cq_of(semantics=Semantics.NEXT))
-        with pytest.raises(ValueError):
-            run_aseq(
+        with pytest.raises(ValueError, match="Table 9"):
+            run_approach("aseq", mk("AB"), cq_of(semantics=Semantics.NEXT))
+        with pytest.raises(ValueError, match="Table 9"):
+            run_approach(
+                "aseq",
                 mk("AB"),
                 cq_of(preds=(AdjacentPredicate("A", "v", "<", "A", "v"),)),
             )
 
     def test_flink_rejects_next(self):
-        with pytest.raises(ValueError):
-            run_flink_like(mk("AB"), cq_of(semantics=Semantics.NEXT))
+        with pytest.raises(ValueError, match="Table 9"):
+            run_approach("flink", mk("AB"), cq_of(semantics=Semantics.NEXT))
 
     def test_registry_refuses_unsupported(self):
         with pytest.raises(ValueError, match="Table 9"):
@@ -55,27 +53,32 @@ class TestCapabilityErrors:
 
 
 class TestBudgets:
-    def test_sase_any_dnf_on_tiny_budget(self):
-        events = mk("A" * 18 + "B")
-        res = run_sase(events, cq_of(), budget=Budget(max_units=1_000))
+    @pytest.mark.parametrize("name", ["flink", "sase", "greta", "aseq"])
+    def test_dnf_on_tiny_budget(self, name):
+        """Every budgeted approach reports a DNF row the same way: null
+        aggregates, the relevant-event count and the state built so far."""
+        events = mk("A" * 9 + "Z" + "A" * 9 + "B")
+        cq = Query(
+            pattern="(SEQ(A+, B))+",
+            semantics=Semantics.ANY,
+            aggregates=(Count(), Sum("A", "v"), Min("B", "v")),
+        ).compile()
+        res = run_approach(name, events, cq, budget=Budget(max_units=50))
         assert res.dnf
-        assert all(v is None for v in res.aggregates.values())
-
-    def test_flink_any_dnf_on_tiny_budget(self):
-        events = mk("A" * 18 + "B")
-        res = run_flink_like(events, cq_of(), budget=Budget(max_units=1_000))
-        assert res.dnf
+        assert res.aggregates == {s.name: None for s in cq.specs}
+        assert res.events_processed == 19
+        assert res.peak_state_bytes > 0
 
     def test_sase_completes_within_budget(self):
         events = mk("AABAB")
-        res = run_sase(events, cq_of(), budget=Budget(max_units=100_000))
+        res = run_approach("sase", events, cq_of(), budget=Budget(max_units=100_000))
         assert not res.dnf
         assert res.aggregates == aggregate_bruteforce(events, cq_of())
 
     def test_sase_dnf_counts_trends_not_work_units(self):
         """The budget runs out while pointers are built, before any trend."""
         events = mk("A" * 18 + "B")
-        res = run_sase(events, cq_of(), budget=Budget(max_units=50))
+        res = run_approach("sase", events, cq_of(), budget=Budget(max_units=50))
         assert res.dnf
         assert res.trends_constructed == 0
 
@@ -118,14 +121,14 @@ class TestTwoStepAccounting:
     def test_sase_counts_constructed_trends(self):
         events = mk("ABAABAB")
         cq = cq_of()
-        res = run_sase(events, cq)
+        res = run_approach("sase", events, cq)
         assert res.trends_constructed == res.aggregates["count_star"]
         assert res.peak_state_bytes > 0
 
     def test_flink_stores_all_sequences(self):
         events = mk("AAB")
         cq = cq_of()
-        res = run_flink_like(events, cq)
+        res = run_approach("flink", events, cq)
         # Trends: (a1,b), (a2,b), (a1,a2,b) -> 3 stored sequences.
         assert res.trends_constructed == 3
         assert res.aggregates["count_star"] == 3
@@ -134,8 +137,8 @@ class TestTwoStepAccounting:
         """Flink stores every sequence; SASE only the current DFS path."""
         events = mk("A" * 12 + "B")
         cq = cq_of()
-        flink = run_flink_like(events, cq)
-        sase = run_sase(events, cq)
+        flink = run_approach("flink", events, cq)
+        sase = run_approach("sase", events, cq)
         assert flink.peak_state_bytes > sase.peak_state_bytes
 
 
@@ -184,12 +187,12 @@ class TestFlattening:
             adjacent_predicates=(AdjacentPredicate("M", "v", "<", "M", "v"),),
         ).compile()
         short_runs = [Event(i, i + 1, "M", {"v": i % 4}) for i in range(2_000)]
-        res = run_flink_like(short_runs, cq, budget=Budget(max_units=100_000))
+        res = run_approach("flink", short_runs, cq, budget=Budget(max_units=100_000))
         assert not res.dnf
         assert res.aggregates["count_star"] == 5_000
         assert res.aggregates == aggregate_bruteforce(short_runs, cq)
         rising = [Event(i, i + 1, "M", {"v": i}) for i in range(100)]
-        res = run_flink_like(rising, cq)
+        res = run_approach("flink", rising, cq)
         assert res.aggregates["count_star"] == 5_050
         assert res.aggregates == aggregate_bruteforce(rising, cq)
 
@@ -197,8 +200,8 @@ class TestFlattening:
 class TestGretaProperties:
     def test_greta_state_grows_with_events(self):
         cq = cq_of()
-        small = run_greta(mk("AB" * 3), cq)
-        large = run_greta(mk("AB" * 30), cq)
+        small = run_approach("greta", mk("AB" * 3), cq)
+        large = run_approach("greta", mk("AB" * 30), cq)
         assert large.peak_state_bytes > small.peak_state_bytes * 5
 
     def test_cogra_state_constant_in_events(self):

@@ -101,6 +101,30 @@ def test_min_and_max_reject_nan_in_every_approach(values):
         Min("A", "v").on_event(None, "A", {"v": math.nan}, 0)
 
 
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("spec", [Min("B", "v"), Sum("B", "v"), Avg("B", "v")])
+def test_domain_checked_where_no_trend_reaches(spec, bad, semantics):
+    """An out-of-domain value in an event no trend reaches is rejected by
+    the oracle and by every approach alike; MIN keeps ±inf as a value."""
+    cq = Query(pattern="SEQ(A+, B)", semantics=semantics,
+               aggregates=(Count(), spec)).compile()
+    events = [Event(0, 1, "B", {"v": bad}), Event(1, 2, "A", {"v": 1.0}),
+              Event(2, 3, "B", {"v": 2.0})]
+    names = [name for name in APPROACHES if supports(name, cq)]
+    if isinstance(spec, Min) and not math.isnan(bad):
+        expected = aggregate_bruteforce(events, cq)
+        assert expected == {"count_star": 1, spec.name: 2.0}
+        for name in names:
+            assert run_approach(name, events, cq).aggregates == expected, name
+        return
+    with pytest.raises(ValueError, match=spec.name):
+        aggregate_bruteforce(events, cq)
+    for name in names:
+        with pytest.raises(ValueError, match=spec.name):
+            run_approach(name, events, cq)
+
+
 def test_result_frame_rounds_once_and_flags_overflow():
     schema = T.StructType([
         T.StructField("grp", T.LongType()),

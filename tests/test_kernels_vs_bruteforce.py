@@ -75,14 +75,17 @@ def check_all_approaches(events, pattern, semantics, pred_key):
         adjacent_predicates=PRED_SETS[pred_key],
     ).compile()
     expected = aggregate_bruteforce(events, cq)
+    processed = set()
     checked = 0
     for name in APPROACHES:
         if not supports(name, cq):
             continue
-        got = run_approach(name, events, cq).aggregates
-        assert got == expected, f"{name} disagrees with brute force"
+        res = run_approach(name, events, cq)
+        assert res.aggregates == expected, f"{name} disagrees with brute force"
+        processed.add(res.events_processed)
         checked += 1
     assert checked >= 2  # cogra + at least sase always run
+    assert len(processed) == 1  # every approach counts the same events
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)

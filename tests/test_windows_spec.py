@@ -61,7 +61,7 @@ class TestQueryCompile:
             adjacent_predicates=(AdjacentPredicate("D", "price", "<", "D", "price"),),
             local_predicates=(LocalPredicate("volume", ">", 0, etype="D"),),
         ).compile()
-        assert set(cq.attr_cols) == {"price", "low", "volume"}
+        assert set(cq.attr_cols) == {"price", "low"}
 
     def test_pattern_object_accepted(self):
         from repro.core.pattern import parse_pattern
