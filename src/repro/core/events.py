@@ -1,8 +1,9 @@
 """Lightweight event representation shared by all per-substream kernels.
 
 Kernels (Cogra aggregators and baselines) consume a time-ordered list of
-:class:`Event`; the Spark runner materializes one such list per
-(group, window) substream from the Arrow batch handed to ``applyInPandas``.
+:class:`Event`. The batch Spark runner materializes one such list per
+group from the Arrow batch handed to ``applyInPandas``, and each (group,
+window) substream is a contiguous slice of it.
 """
 from __future__ import annotations
 

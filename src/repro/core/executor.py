@@ -3,7 +3,7 @@
 ``make_aggregator`` builds the granularity-appropriate Cogra aggregator
 chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
 time-ordered substream. This is the only event loop of Cogra: the batch
-kernel (``aggregate_substream``, once per (group, window) partition) and
+kernel (via ``registry.run_approach``, once per (group, window) slice) and
 the Structured Streaming runner (once per key and micro-batch) both run it.
 
 Every aggregator implements the same protocol: ``update(etype, attrs)``

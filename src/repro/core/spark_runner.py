@@ -1,16 +1,19 @@
 """Batch Spark runner: the distributed Cogra executor (paper Sections 7-8).
 
-Pipeline (all relational stages in Catalyst, per the paper's executor):
+Pipeline (the relational stages in Catalyst, per the paper's executor):
 
 1. **Filter** — local predicates prune the stream (Section 7).
-2. **Window** — each event is exploded into its covering window ids.
-3. **Partition** — groupBy(grouping/equivalence attrs + wid): the paper's
+2. **Partition** — groupBy(grouping/equivalence attrs): the paper's
    "non-overlapping sub-streams … processed in parallel independently".
-4. **Kernel** — one ``applyInPandas`` call per substream runs the
-   granularity-selected Cogra aggregator (or a baseline) as a
-   DataFrame -> DataFrame physical operator, emitting the aggregates plus
-   per-substream metrics (events, peak state bytes, kernel seconds, DNF,
-   overflow).
+3. **Kernel** — one ``applyInPandas`` call per group sorts its events by
+   time once and cuts them into one contiguous slice per covering window
+   (``windows.window_slices``; Li et al.'s window ids, without copying an
+   event into every window that covers it).
+4. **Aggregate** — each (group, wid) slice runs the granularity-selected
+   Cogra aggregator (or a baseline) through ``registry.run_approach`` and
+   becomes one output row: the aggregates plus per-substream metrics
+   (events, peak state bytes, kernel seconds, DNF, overflow). The group's
+   rows leave the kernel as one DataFrame.
 
 The kernel is sequential per substream by design: Definition 7 adjacency
 is order-sensitive, so parallelism comes from partitioning, exactly as in
@@ -27,7 +30,7 @@ from repro.baselines.registry import run_approach
 from repro.core.events import events_from_pandas
 from repro.core.predicates import _OPS
 from repro.core.query import CompiledQuery, Query
-from repro.core.windows import with_window_ids
+from repro.core.windows import window_slices
 from repro.harness.metrics import Budget
 
 METRIC_FIELDS = [
@@ -54,15 +57,14 @@ def local_filter_expr(cq: CompiledQuery) -> Column | None:
 
 
 def prepare_input(df: DataFrame, cq: CompiledQuery) -> DataFrame:
-    """Local filter -> column select -> window explode: the relational
-    stages shared by the batch and the streaming runner."""
+    """Local filter -> column select: the relational stages shared by the
+    batch and the streaming runner."""
     q = cq.query
     flt = local_filter_expr(cq)
     if flt is not None:
         df = df.filter(flt)
     keep = [*q.partition_by, q.time_col, q.type_col, *cq.attr_cols]
-    df = df.select(*dict.fromkeys(keep))  # dedup, keep order
-    return with_window_ids(df, q.window, q.time_col)
+    return df.select(*dict.fromkeys(keep))  # dedup, keep order
 
 
 def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
@@ -76,17 +78,14 @@ def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
     return T.StructType(fields)
 
 
-def result_frame(
-    schema: T.StructType, key: tuple, aggregates: dict, **metrics
-) -> pd.DataFrame:
+def result_row(schema: T.StructType, key: tuple, aggregates: dict, **metrics) -> dict:
     """One output row of ``schema``: the key columns, each exact aggregate
     rounded to a double, then the metric columns given by name.
 
     This is the only place results are rounded. An aggregate beyond double
     range (an ANY count grows as 2^n) becomes null and sets ``overflow``.
     """
-    names = schema.fieldNames()
-    row = dict(zip(names, key))
+    row = dict(zip(schema.fieldNames(), key))
     overflow = False
     for name, v in aggregates.items():
         try:
@@ -94,7 +93,16 @@ def result_frame(
         except OverflowError:
             row[name], overflow = None, True
     row.update(metrics, overflow=overflow)
-    return pd.DataFrame([row], columns=names)
+    return row
+
+
+def result_frame(
+    schema: T.StructType, key: tuple, aggregates: dict, **metrics
+) -> pd.DataFrame:
+    """:func:`result_row` as a one-row DataFrame."""
+    return pd.DataFrame(
+        [result_row(schema, key, aggregates, **metrics)], columns=schema.fieldNames()
+    )
 
 
 def run_query(
@@ -118,26 +126,30 @@ def run_query(
     df = prepare_input(df, cq)
     schema = result_schema(df, cq)
     time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
+    window = query.window
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         events = events_from_pandas(
             pdf, time_col=time_col, type_col=type_col, attr_cols=attr_cols
         )
-        res = run_approach(
-            approach,
-            events,
-            cq,
-            budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
-        )
-        return result_frame(
-            schema,
-            key,
-            res.aggregates,
-            events=res.events_processed,
-            peak_state_bytes=res.peak_state_bytes,
-            kernel_seconds=res.kernel_seconds,
-            dnf=res.dnf,
-            trends_constructed=res.trends_constructed,
-        )
+        rows = []
+        for wid, s, t in window_slices([e.time for e in events], window):
+            res = run_approach(
+                approach,
+                events[s:t],
+                cq,
+                budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
+            )
+            rows.append(result_row(
+                schema,
+                (*key, wid),
+                res.aggregates,
+                events=res.events_processed,
+                peak_state_bytes=res.peak_state_bytes,
+                kernel_seconds=res.kernel_seconds,
+                dnf=res.dnf,
+                trends_constructed=res.trends_constructed,
+            ))
+        return pd.DataFrame(rows, columns=schema.fieldNames())
 
-    return df.groupBy(*query.partition_by, "wid").applyInPandas(kernel, schema=schema)
+    return df.groupBy(*query.partition_by).applyInPandas(kernel, schema=schema)

@@ -7,10 +7,13 @@ at the type granularity, O(1) at the pattern granularity — and each
 micro-batch folds its events into that state via
 ``applyInPandasWithState``. Aggregates are emitted in *update* mode after
 every micro-batch, mirroring the paper's per-slide outputs. State has no
-timeout and is never evicted (ROADMAP item 2).
+timeout and is never evicted (ROADMAP item 5).
 
 The input and output paths are the batch runner's (``prepare_input``,
-``result_frame``) and the event loop is the executor's ``fold``. Like
+``result_frame``) and the event loop is the executor's ``fold``. Unlike
+the batch runner, which slices each group's windows in one kernel call,
+the stream tags every event with each covering wid (``with_window_ids``)
+and keeps one state per (group, wid). Like
 ``registry.run_approach``, each micro-batch checks the attribute domains
 of every relevant event before folding it.
 
@@ -40,6 +43,7 @@ from repro.core.spark_runner import (
     result_frame,
     result_schema,
 )
+from repro.core.windows import with_window_ids
 
 _BATCH_ONLY_METRICS = {f.name for f in METRIC_FIELDS} - {"events", "overflow"}
 
@@ -64,6 +68,7 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
     """
     cq = query.compile()
     stream_df = prepare_input(stream_df, cq)
+    stream_df = with_window_ids(stream_df, query.window, query.time_col)
     out_schema = streaming_result_schema(stream_df, query)
     time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
     pred_types, specs = cq.analysis.pred_types, cq.specs

@@ -2,12 +2,17 @@
 
 WITHIN ``size`` SLIDE ``slide`` partitions the unbounded stream into
 overlapping windows; window ``k`` spans ``[k*slide, k*slide + size)``.
-An event at time ``t`` falls into ``size/slide`` consecutive windows and
-is tagged with each window identifier *wid* [Li et al., SIGMOD'05], so
-per-(group, wid) aggregation is an ordinary keyed aggregation — the
-Catalyst side of the Cogra executor.
+An event at time ``t`` falls into ``size/slide`` consecutive windows
+[Li et al., SIGMOD'05]. The batch runner cuts each group's time-ordered
+events into one contiguous slice per window (``window_slices``); the
+streaming runner tags each event with every covering window id *wid*
+(``with_window_ids``), so its per-(group, wid) state is an ordinary keyed
+aggregation.
 """
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Sequence
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -40,6 +45,36 @@ def with_window_ids(
     if window is None:
         return df.withColumn("wid", F.lit(0).cast("long"))
     return df.withColumn("wid", F.explode(wid_sequence_expr(window, time_col)))
+
+
+def window_slices(
+    times: Sequence[float], window: WindowSpec | None
+) -> Iterator[tuple[int, int, int]]:
+    """``(wid, s, t)`` for every window that covers one of the ascending
+    ``times``: its events are the contiguous slice ``[s, t)``.
+
+    Event ``i`` lies in windows ``lo_i .. hi_i`` (:meth:`WindowSpec.wids_for`);
+    both bounds ascend with time, so window ``k`` holds the events with
+    ``hi_i >= k`` (a suffix) and ``lo_i <= k`` (a prefix). Windows are
+    yielded in wid order, and an empty one jumps ``k`` to the next event's
+    first window, so a gap in time costs nothing. With no window clause
+    the whole input is window 0.
+    """
+    if window is None:
+        if times:
+            yield 0, 0, len(times)
+        return
+    spans = [window.wids_for(t) for t in times]
+    lo = [r.start for r in spans]
+    hi = [r.stop - 1 for r in spans]
+    k, last = (lo[0], hi[-1]) if spans else (0, -1)
+    while k <= last:
+        s, t = bisect_left(hi, k), bisect_right(lo, k)
+        if s < t:
+            yield k, s, t
+            k += 1
+        else:
+            k = lo[s]
 
 
 def window_bounds(window: WindowSpec, wid: int) -> tuple[int, int]:

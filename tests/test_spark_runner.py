@@ -1,18 +1,22 @@
-"""End-to-end batch Spark pipeline (filter -> window -> partition ->
-kernel), cross-checked against local kernels and between approaches."""
+"""End-to-end batch Spark pipeline (filter -> partition -> window slices
+-> kernel), cross-checked against local kernels and between approaches."""
 import math
+import signal
+import threading
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.registry import run_approach
+from repro.baselines.registry import APPROACHES, run_approach, supports
 from repro.core.aggregates import Avg, Count, CountType, Max, Min, Sum
 from repro.core.events import events_from_pandas
 from repro.core.granularity import Semantics
 from repro.core.predicates import AdjacentPredicate, LocalPredicate
 from repro.core.query import Query, WindowSpec
 from repro.core.spark_runner import local_filter_expr, run_query
+from repro.core.windows import window_slices
+from repro.harness.runner import run_point
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +185,157 @@ def test_local_filter_expr_matches_holds(spark, lp):
                local_predicates=(lp,)).compile()
     got = spark.createDataFrame(pdf).filter(local_filter_expr(cq)).count()
     assert got == sum(lp.holds(r["etype"], r) for r in pdf.to_dict("records"))
+
+
+# ----------------------------------------------- window slices vs explode
+#
+# The batch runner cuts each group's sorted events into one slice per
+# window; ``local_expected`` copies each event into every ``wids_for``
+# window (a pandas explode). The two must give the same rows.
+
+
+def _sparse_pdf(seed: int, groups: int, slide: int) -> pd.DataFrame:
+    """Bursts of events at quarter-step float times, separated by gaps of
+    2 to 48 slides, so some windows of up to 12 slides are empty. Each
+    group starts at t = 0 and each burst on an exact multiple of
+    ``slide``; times are distinct within a group (ties are a separate
+    ROADMAP item)."""
+    g = np.random.default_rng(seed)
+    rows = []
+    for grp in range(groups):
+        t, times = 0.0, []
+        for gap in (2, 48, 12, 48, 2):
+            burst = np.round(g.uniform(0, 2 * slide, 5) * 4) / 4
+            times.extend([t, *(t + burst)])
+            t = max(times) // slide * slide + gap * slide
+        times = sorted(set(times))
+        for tm in times:
+            rows.append((float(tm), grp, g.choice(list("ABC")),
+                         float(g.integers(0, 10))))
+    return pd.DataFrame(rows, columns=["time", "grp", "etype", "v"])
+
+
+SLICE_WINDOWS = {
+    "sliding": WindowSpec(size=40, slide=10),
+    "tumbling": WindowSpec(size=25, slide=25),
+}
+
+
+def test_sparse_pdf_has_gaps_and_boundary_times():
+    for name, w in SLICE_WINDOWS.items():
+        pdf = _sparse_pdf(11, 3, w.slide)
+        assert (pdf.time == 0).sum() == 3
+        assert (pdf.time % w.slide == 0).sum() > 3
+        assert (pdf.time % 1 != 0).any()
+        for _, g in pdf.groupby("grp"):
+            assert (g.time.diff() > w.size).any(), name  # some windows empty
+            assert g.time.is_unique
+
+
+@pytest.mark.parametrize("wname", list(SLICE_WINDOWS))
+@pytest.mark.parametrize("semantics", list(Semantics))
+def test_window_slices_equal_explode_for_every_approach(spark, wname, semantics):
+    w = SLICE_WINDOWS[wname]
+    pdf = _sparse_pdf(11, 3, w.slide)
+    q = Query(
+        pattern="SEQ(A+, B)",
+        semantics=semantics,
+        aggregates=AGGS,
+        partition_by=("grp",),
+        window=w,
+    )
+    expected = local_expected(pdf, q)
+    df = spark.createDataFrame(pdf)
+    cq = q.compile()
+    ran = [ap for ap in APPROACHES if supports(ap, cq)]
+    assert "cogra" in ran and len(ran) >= 2
+    for ap in ran:
+        out = run_query(df, q, approach=ap).toPandas()
+        assert not out.dnf.any(), ap
+        _cmp(out, expected, ["grp", "wid"])
+
+
+def test_window_slices_match_wids_for():
+    """Each slice holds exactly the events whose ``wids_for`` contains its
+    wid, and the wids are those the explode emits, in order."""
+    g = np.random.default_rng(3)
+    for w in (*SLICE_WINDOWS.values(), WindowSpec(size=600, slide=30)):
+        for _ in range(50):
+            gaps = g.choice([0.0, 0.25, 1.0, w.slide, 3.0 * w.size], 30)
+            times = list(np.cumsum(gaps) + g.choice([0.0, w.slide]))
+            want: dict[int, list[int]] = {}
+            for i, t in enumerate(times):
+                for k in w.wids_for(t):
+                    want.setdefault(k, []).append(i)
+            got = {k: list(range(s, t)) for k, s, t in window_slices(times, w)}
+            assert got == want
+            assert list(got) == sorted(want)
+    assert list(window_slices([0.0, 5.5], None)) == [(0, 0, 2)]
+    assert list(window_slices([], WindowSpec(size=600, slide=30))) == []
+
+
+def _fail_after_5s(signum, frame):
+    raise TimeoutError("window_slices walked the empty windows one by one")
+
+
+def test_window_slices_jump_empty_windows():
+    w = WindowSpec(size=600, slide=30)
+    handler = signal.signal(signal.SIGALRM, _fail_after_5s)
+    signal.alarm(5)
+    try:
+        got = list(window_slices([0, 10**12], w))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert got == [(0, 0, 1)] + [(k, 1, 2) for k in w.wids_for(10**12)]
+
+
+def test_sparse_times_jump_empty_windows(spark):
+    """Events at t = 0 and t = 10^12: 1 + 20 windows, not 3.3e10 steps.
+    A query still running after 60 s is cancelled, so the test fails
+    instead of hanging."""
+    w = WindowSpec(size=600, slide=30)
+    pdf = pd.DataFrame(
+        {"time": [0, 10**12], "grp": [0, 0], "etype": ["A", "B"], "v": [1.0, 2.0]}
+    )
+    q = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY,
+              partition_by=("grp",), window=w)
+    timer = threading.Timer(60, spark.sparkContext.cancelAllJobs)
+    timer.start()
+    try:
+        out = run_query(spark.createDataFrame(pdf), q).toPandas()
+    finally:
+        timer.cancel()
+    want = sorted({k for t in pdf.time for k in w.wids_for(t)})
+    assert len(want) == 21
+    assert sorted(out.wid) == want
+    assert out.events.tolist() == [1] * 21
+    _cmp(out, local_expected(pdf, q), ["grp", "wid"])
+
+
+def test_metric_columns_keep_their_per_substream_meaning(spark):
+    w = WindowSpec(size=40, slide=10)
+    pdf = _sparse_pdf(12, 3, w.slide)
+    q = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY,
+              aggregates=(Count(),), partition_by=("grp",), window=w)
+    pred_types = q.compile().analysis.pred_types
+    subs = pdf.assign(wid=[list(w.wids_for(t)) for t in pdf.time]).explode("wid")
+    subs = subs.astype({"wid": "int64"})
+    relevant = (
+        subs.assign(rel=subs.etype.isin(pred_types))
+        .groupby(["grp", "wid"]).rel.sum().rename("want").reset_index()
+    )
+    out = run_query(spark.createDataFrame(pdf), q).toPandas()
+    got = out.astype({"wid": "int64"}).merge(relevant, on=["grp", "wid"],
+                                             how="outer", indicator=True)
+    assert (got._merge == "both").all()
+    assert (got.events == got.want).all()
+    assert (out.kernel_seconds > 0).all()
+    assert (out.peak_state_bytes > 0).all()
+
+    expected = local_expected(pdf, q)
+    point = run_point(spark, pdf, q, "cogra", experiment="t", x_name="x", x=0)
+    assert point.n_substreams == len(expected) == len(relevant)
+    assert point.count_checksum == expected.count_star.sum()
+    assert point.total_events == relevant.want.sum()
+    assert point.latency_ms > 0
