@@ -29,15 +29,16 @@ from repro.core.aggregates import (
     init_slots,
     merge_slots,
 )
-from repro.core.events import Event
+from repro.core.events import Substream
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import BYTES_PER_AGG, Budget, KernelResult
 
 
 def run_aseq(
-    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+    sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Flattened prefix-trie workload over one substream."""
+    events = sub.rows()
     meter = res.meter
     an = cq.analysis
     specs = cq.specs

@@ -21,7 +21,7 @@ the total size of all stored sequences.
 from __future__ import annotations
 
 from repro.baselines.bruteforce import TrendAccumulator, is_adjacent
-from repro.core.events import Event
+from repro.core.events import Event, Substream
 from repro.core.granularity import Semantics
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import BYTES_PER_EVENT, Budget, KernelResult
@@ -121,10 +121,11 @@ def flatten_length(events: list[Event], cq: CompiledQuery) -> int:
 
 
 def run_flink_like(
-    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+    sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Flattened fixed-length sequence workload over one substream: one
     sequence query per match length 1..``flatten_length``."""
+    events = sub.rows()
     an = cq.analysis
     relevant = [e for e in events if e.etype in an.pred_types]
     by_type: dict[str, list[int]] = {t: [] for t in an.pred_types}

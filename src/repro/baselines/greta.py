@@ -15,16 +15,17 @@ from repro.core.aggregates import (
     init_slots,
     merge_slots,
 )
-from repro.core.events import Event
+from repro.core.events import Event, Substream
 from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, Budget, KernelResult
 
 
 def run_greta(
-    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+    sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Event-grained online aggregation over one substream."""
+    events = sub.rows()
     an = cq.analysis
     specs = cq.specs
     preds = cq.adjacent_predicates

@@ -6,36 +6,39 @@ online vs two-step), so the harness can skip an approach on queries it
 does not support — exactly how the paper's charts omit unsupported
 combinations.
 
-``run_approach`` is the one entry point of every kernel run. It checks the
-Table-9 envelope and the attribute domains, counts the relevant events,
+``run_approach`` is the one entry point of every kernel run. It takes a
+:class:`~repro.core.events.Substream` (or a time-ordered ``Event`` list),
+checks the Table-9 envelope and, as column operations, the attribute
+domains and the relevant-event count (``executor.check_substream``),
 defaults the budget, times the run and turns an exhausted budget into a
-DNF row. A kernel only folds: ``run(events, cq, res, budget)`` returns the
+DNF row. A kernel only folds: ``run(sub, cq, res, budget)`` returns the
 aggregates, accounts its state in ``res.meter`` and, if it constructs
-trends, counts them in ``res.trends_constructed``.
+trends, counts them in ``res.trends_constructed``. Cogra under CONT reads
+the substream's columns; every other kernel reads its ``Event`` rows,
+which are built before the clock starts.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.baselines.aseq import run_aseq
 from repro.baselines.flink_like import run_flink_like
 from repro.baselines.greta import run_greta
 from repro.baselines.sase import run_sase
-from repro.core.aggregates import check_domain
-from repro.core.events import Event
-from repro.core.executor import fold, make_aggregator
+from repro.core.events import Event, Substream
+from repro.core.executor import as_substream, check_substream, fold, make_aggregator
 from repro.core.granularity import Semantics
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import Budget, BudgetExceeded, KernelResult
 
 
 def run_cogra(
-    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+    sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Cogra: the coarsest-granularity aggregator; it needs no budget."""
-    agg = fold(make_aggregator(cq), events)
+    agg = fold(make_aggregator(cq), sub)
     res.meter = agg.meter
     return agg.result()
 
@@ -49,7 +52,9 @@ class ApproachInfo:
     semantics: frozenset[Semantics]
     adjacent_predicates: bool
     online: bool  # online trend aggregation (no construction step)
-    run: Callable[[list[Event], CompiledQuery, KernelResult, Budget], dict]
+    run: Callable[[Substream, CompiledQuery, KernelResult, Budget], dict]
+    # Not Table 9: the semantics under which ``run`` reads columns only.
+    columnar: frozenset[Semantics] = frozenset()
 
 
 APPROACHES: dict[str, ApproachInfo] = {
@@ -92,6 +97,7 @@ APPROACHES: dict[str, ApproachInfo] = {
         adjacent_predicates=True,
         online=True,
         run=run_cogra,
+        columnar=frozenset({Semantics.CONT}),
     ),
 }
 
@@ -108,7 +114,7 @@ def supports(name: str, cq: CompiledQuery) -> bool:
 
 def run_approach(
     name: str,
-    events: list[Event],
+    events: Substream | Sequence[Event],
     cq: CompiledQuery,
     *,
     budget: Budget | None = None,
@@ -117,18 +123,16 @@ def run_approach(
     that exhausts its budget (or the interpreter's stack) is a DNF row."""
     if not supports(name, cq):
         raise ValueError(f"approach {name!r} does not support this query (Table 9)")
-    pred_types, specs = cq.analysis.pred_types, cq.specs
-    n = 0
-    for e in events:
-        if e.etype in pred_types:
-            n += 1
-            check_domain(specs, e.etype, e.attrs)
-    res = KernelResult(events_processed=n)
+    info = APPROACHES[name]
+    sub = as_substream(events, cq)
+    res = KernelResult(events_processed=check_substream(cq, sub))
+    if cq.semantics not in info.columnar:
+        sub.rows()  # built once per group, outside the kernel's time
     t0 = time.perf_counter()
     try:
-        res.aggregates = APPROACHES[name].run(events, cq, res, budget or Budget())
+        res.aggregates = info.run(sub, cq, res, budget or Budget())
     except (BudgetExceeded, RecursionError):
-        res.aggregates = {s.name: None for s in specs}
+        res.aggregates = {s.name: None for s in cq.specs}
         res.dnf = True
     res.kernel_seconds = time.perf_counter() - t0
     res.peak_state_bytes = res.meter.peak

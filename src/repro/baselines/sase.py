@@ -17,7 +17,7 @@ description:
 from __future__ import annotations
 
 from repro.baselines.bruteforce import TrendAccumulator, is_adjacent
-from repro.core.events import Event
+from repro.core.events import Event, Substream
 from repro.core.granularity import Semantics
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import (
@@ -118,9 +118,10 @@ def _construct_next_cont(
 
 
 def run_sase(
-    events: list[Event], cq: CompiledQuery, res: KernelResult, budget: Budget
+    sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Two-step SASE over one substream: construct, then aggregate."""
+    events = sub.rows()
     acc = TrendAccumulator(cq.specs)
     if cq.semantics is Semantics.ANY:
         _construct_any(events, cq, acc, res, budget)

@@ -24,15 +24,28 @@ Each spec implements the Table-8 algebra on its slot:
 This algebra covers exactly the distributive/algebraic functions the paper
 supports (Section 2.3, citing Gray et al.'s data-cube classification).
 
+Two more operations serve the CONT scan, which folds whole columns:
+
+* ``fold_column`` — the merged slot of many events of type ``E`` with
+  attribute values ``x`` (None for COUNT), each applied with its integer
+  trend count ``w_j``; events with ``w_j = 0`` add nothing,
+* ``repeat``    — the merge of ``k`` copies of one slot value.
+
 Arithmetic is exact (DESIGN.md, "Arithmetic mode"): counts are Python
 ints, and SUM/AVG numerators are binary fractions (num, k) = num / 2**k,
-divided once in ``finalize``.
+divided once in ``finalize``. ``check_column`` is ``check_domain`` over a
+column.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
+
+from repro.core.events import MISSING
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,12 @@ class AggSpec:
     def finalize(self, val, final_count):
         raise NotImplementedError
 
+    def fold_column(self, x: np.ndarray | None, w: np.ndarray):
+        raise NotImplementedError
+
+    def repeat(self, val, k: int):
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Count(AggSpec):
@@ -75,6 +94,12 @@ class Count(AggSpec):
 
     def finalize(self, val, final_count):
         return final_count
+
+    def fold_column(self, x, w):
+        return 0
+
+    def repeat(self, val, k):
+        return val
 
 
 @dataclass(frozen=True)
@@ -100,6 +125,12 @@ class CountType(AggSpec):
 
     def finalize(self, val, final_count):
         return val
+
+    def fold_column(self, x, w):
+        return int(w.sum())
+
+    def repeat(self, val, k):
+        return val * k
 
 
 @dataclass(frozen=True)
@@ -133,6 +164,21 @@ class _Extremum(AggSpec):
     def finalize(self, val, final_count):
         return val
 
+    def fold_column(self, x, w):
+        x = x[w > 0]
+        if not len(x):
+            return None
+        if x.dtype == object:
+            for v in x.tolist():
+                ordered_value(self, v)
+            return self.pick(x)  # the Python object itself
+        if x.dtype.kind == "f" and np.isnan(x).any():
+            ordered_value(self, float("nan"))  # raises
+        return self.pick(x).item()
+
+    def repeat(self, val, k):
+        return val if k else None
+
 
 class Min(_Extremum):
     """MIN(E.attr): min over finished trends of tr.MIN(E.attr)."""
@@ -140,12 +186,16 @@ class Min(_Extremum):
     def keep(self, a, b):
         return a if a <= b else b
 
+    pick = staticmethod(np.min)  # of a column
+
 
 class Max(_Extremum):
     """MAX(E.attr): max over finished trends of tr.MAX(E.attr)."""
 
     def keep(self, a, b):
         return a if a >= b else b
+
+    pick = staticmethod(np.max)
 
 
 def ordered_value(spec: AggSpec, x):
@@ -172,6 +222,52 @@ def _add(n1: int, k1: int, n2: int, k2: int) -> tuple[int, int]:
     if k1 < k2:
         n1, k1, n2, k2 = n2, k2, n1, k1
     return n1 + (n2 << (k1 - k2)), k1
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Sum of a_j * b_j over Python ints: no product can wrap."""
+    return sum(map(operator.mul, a.tolist(), b.tolist()))
+
+
+# Exponent band of one Python-int dot product in ``exact_dot``: mantissas
+# below 2**53 shifted by fewer than 10 bits stay below 2**63.
+_BAND = 10
+
+
+def exact_dot(spec: AggSpec, x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
+    """Sum of x_j * w_j as a binary fraction (num, k), for a column ``x``
+    of finite ints or floats and integer weights ``w``.
+
+    A float is m * 2**e with an integer mantissa |m| < 2**53 (``frexp``).
+    NumPy gives the mantissas and exponents, and one Python-int dot product
+    per band of ``_BAND`` exponents sums them exactly.
+    """
+    nz = w != 0
+    x, w = x[nz], w[nz]
+    if x.dtype == np.int64:
+        return _dot(x, w), 0
+    num, k = 0, 0
+    if x.dtype == object:
+        for v, c in zip(x.tolist(), w.tolist()):
+            m, e = binary_fraction(spec, v)
+            num, k = _add(num, k, m * c, e)
+        return num, k
+    finite = np.isfinite(x)
+    if not finite.all():
+        binary_fraction(spec, x[~finite][0].item())  # raises
+    if not len(x):
+        return 0, 0
+    mant, exp = np.frexp(x)
+    m = (mant * 2.0**53).astype(np.int64)
+    e = exp.astype(np.int64) - 53
+    e0 = int(e.min())
+    band = (e - e0) // _BAND
+    for b in np.unique(band).tolist():
+        sel = band == b
+        p = e0 + _BAND * b
+        d = _dot(m[sel] << (e[sel] - p), w[sel])
+        num, k = _add(num, k, *((d << p, 0) if p >= 0 else (d, -p)))
+    return num, k
 
 
 @dataclass(frozen=True)
@@ -204,6 +300,12 @@ class Sum(AggSpec):
     def finalize(self, val, final_count):
         s = Fraction(val[0], 1 << val[1])
         return s.numerator if s.denominator == 1 else s
+
+    def fold_column(self, x, w):
+        return exact_dot(self, x, w)
+
+    def repeat(self, val, k):
+        return (val[0] * k, val[1])
 
 
 @dataclass(frozen=True)
@@ -238,6 +340,12 @@ class Avg(AggSpec):
         # One correctly rounded int / int division.
         return None if c == 0 else num / (c << k)
 
+    def fold_column(self, x, w):
+        return (*exact_dot(self, x, w), int(w.sum()))
+
+    def repeat(self, val, k):
+        return (val[0] * k, val[1], val[2] * k)
+
 
 def check_domain(specs: tuple[AggSpec, ...], etype: str, attrs: Mapping) -> None:
     """Raise ``ValueError`` if an attribute aggregated over events of
@@ -253,6 +361,28 @@ def check_domain(specs: tuple[AggSpec, ...], etype: str, attrs: Mapping) -> None
                 binary_fraction(s, x)
         elif isinstance(s, _Extremum) and s.etype == etype:
             ordered_value(s, attrs[s.attr])
+
+
+def check_column(spec: AggSpec, x: np.ndarray) -> None:
+    """:func:`check_domain` of ``spec`` over the column ``x`` of its
+    type's events: ``isfinite`` for float SUM/AVG, no NaN for float
+    MIN/MAX, every int64 accepted, and the per-value check on an object
+    column (e.g. Python ints beyond int64)."""
+    if isinstance(spec, (Sum, Avg)):
+        one = binary_fraction
+        bad = ~np.isfinite(x) if x.dtype.kind == "f" else None
+    elif isinstance(spec, _Extremum):
+        one = ordered_value
+        bad = np.isnan(x) if x.dtype.kind == "f" else None
+    else:
+        return
+    if x.dtype == object:
+        for v in x.tolist():
+            if v is MISSING:
+                raise KeyError(spec.attr)
+            one(spec, v)
+    elif bad is not None and bad.any():
+        one(spec, x[bad][0].item())  # raises
 
 
 def init_slots(specs: tuple[AggSpec, ...]) -> list:

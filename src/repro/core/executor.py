@@ -2,19 +2,29 @@
 
 ``make_aggregator`` builds the granularity-appropriate Cogra aggregator
 chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
-time-ordered substream. This is the only event loop of Cogra: the batch
-kernel (via ``registry.run_approach``, once per (group, window) slice) and
-the Structured Streaming runner (once per key and micro-batch) both run it.
+time-ordered :class:`~repro.core.events.Substream`. ``fold`` is the only
+entry point of Cogra: the batch kernel (via ``registry.run_approach``,
+once per (group, window) slice) and the Structured Streaming runner (once
+per key and micro-batch) both run it. ``check_substream`` is the one
+domain check in front of it, shared by both runners.
 
 Every aggregator implements the same protocol: ``update(etype, attrs)``
 returns the event's e.count (None if unmatched), ``result()`` finalizes
 the aggregates, ``events_processed`` and ``meter`` (a
 :class:`~repro.harness.metrics.StateMeter`) report its work and state, and
 ``trace_row(etype, e_count)`` gives its paper-trace columns (Tables 5-7).
+An aggregator with ``columnar`` set (Algorithm 3 under CONT) also folds a
+whole substream's columns with ``scan``; ``fold`` runs the others over the
+substream's ``Event`` rows.
 """
 from __future__ import annotations
 
-from repro.core.events import Event
+from typing import Sequence
+
+import numpy as np
+
+from repro.core.aggregates import check_column
+from repro.core.events import Event, Substream
 from repro.core.granularity import Granularity
 from repro.core.mixed_grained import MixedGrainedAggregator
 from repro.core.pattern_grained import PatternGrainedAggregator
@@ -35,18 +45,41 @@ def make_aggregator(cq: CompiledQuery):
     return _AGGREGATORS[cq.granularity](cq)
 
 
-def fold(agg, events: list[Event], trace: list | None = None):
-    """Feed time-ordered ``events`` into ``agg`` and return it.
+def as_substream(events: Substream | Sequence[Event], cq: CompiledQuery) -> Substream:
+    """``events`` itself, or the columns of a time-ordered ``Event`` list."""
+    if isinstance(events, Substream):
+        return events
+    return Substream.from_events(events, cq.attr_cols)
+
+
+def check_substream(cq: CompiledQuery, sub: Substream) -> int:
+    """The number of relevant events in ``sub``, after checking that every
+    attribute aggregated over them lies in its function's domain
+    (``aggregates.check_domain``, as column operations); raises
+    ``ValueError`` otherwise."""
+    pred_types = cq.analysis.pred_types
+    for spec in cq.specs:
+        attr = getattr(spec, "attr", None)
+        if attr is not None and spec.etype in pred_types:
+            check_column(spec, sub.cols[attr][sub.etype == spec.etype])
+    return int(np.isin(sub.etype, list(pred_types)).sum())
+
+
+def fold(agg, sub: Substream, trace: list | None = None):
+    """Feed the time-ordered substream ``sub`` into ``agg`` and return it.
 
     ``trace`` (optional) receives one dict per event the aggregator
     reports, reproducing the paper's Tables 5-7.
     """
     if trace is None:
+        if agg.columnar:
+            agg.scan(sub)
+            return agg
         update = agg.update
-        for e in events:
+        for e in sub.rows():
             update(e.etype, e.attrs)
         return agg
-    for e in events:
+    for e in sub.rows():
         row = agg.trace_row(e.etype, agg.update(e.etype, e.attrs))
         if row is not None:
             trace.append({"etype": e.etype, "time": e.time, **row})
@@ -54,14 +87,14 @@ def fold(agg, events: list[Event], trace: list | None = None):
 
 
 def aggregate_substream(
-    events: list[Event],
+    events: Substream | Sequence[Event],
     cq: CompiledQuery,
     *,
     trace: list | None = None,
 ) -> KernelResult:
     """Incrementally aggregate the trends of one substream with the
     coarsest-granularity Cogra aggregator selected for the query."""
-    agg = fold(make_aggregator(cq), events, trace)
+    agg = fold(make_aggregator(cq), as_substream(events, cq), trace)
     return KernelResult(
         aggregates=agg.result(),
         events_processed=agg.events_processed,

@@ -41,6 +41,8 @@ class MixedGrainedAggregator:
     events V for the predicate-restricted types T_e (Algorithm 1 when T_e
     is empty)."""
 
+    columnar = False  # the executor folds it over the rows
+
     def __init__(self, cq: CompiledQuery) -> None:
         self.specs = cq.specs
         self.preds = cq.adjacent_predicates

@@ -11,14 +11,51 @@ Under CONT, an arriving event that is *not* matched invalidates all
 partial trends (e_l := null); under NEXT it is skipped. Events of types
 outside the pattern are irrelevant: skipped under NEXT, invalidating under
 CONT (the paper's c5 example). Time O(n), space O(1) (Theorems 6.3-6.4).
+
+Under CONT, e_l is always the previous event, so Algorithm 3 is a
+first-order recurrence, and :meth:`PatternGrainedAggregator.scan` folds a
+whole chunk of columns as a segmented prefix sum (Blelloch 1990):
+
+* ``c_i``: e_{i-1} may precede e_i — both relevant, a type edge of the
+  pattern, every predicate on adjacent events over the shifted columns.
+  Segments are the runs cut by ``~c``, i.e. ``cumsum(~c)``.
+* ``count_i = [E_i = start] + c_i * count_{i-1}``: a segmented cumsum of
+  the start events; e_i is matched iff ``count_i > 0``.
+* ``final_count += sum of count_i`` over end-type events.
+* COUNT(E), SUM and AVG are dot products with the integer weights
+  ``count_j * W_j``, where ``W_j`` is the number of end events at or after
+  j in j's segment; MIN/MAX take the extremum over E-events with
+  ``count_j * W_j > 0`` (``AggSpec.fold_column``).
+
+The chunk carries (e_l's type and attributes, e_l.count, e_l's slots, the
+final count and slots) in and out, so streaming micro-batches, window
+slices and single events compose: ``update`` under CONT is the same scan
+over one event. Under NEXT, e_l is the last *matched* event, which is not
+a first-order scan, so NEXT keeps the row loop.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.aggregates import apply_event_slots, finalize_slots, init_slots
+from repro.core.events import Event, Substream
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
+
+# Counts and weights of a chunk are int64 while a bound on their sums,
+# computed before the scan, stays below this; beyond it, Python ints.
+INT64_LIMIT = 2**63
+
+
+def count_dtype(n: int, longest: int, carry: int):
+    """Dtype of a chunk's counts and weights: every count is at most
+    ``longest + carry`` (the longest segment, plus e_l.count in segment 0),
+    every W at most ``longest``, so the n weights count * W, and any sum of
+    counts, are at most ``n * longest * (longest + carry)``. int64 below
+    ``INT64_LIMIT``, Python ints (object) from there on."""
+    return object if n * longest * (longest + carry) >= INT64_LIMIT else np.int64
 
 
 class PatternGrainedAggregator:
@@ -31,6 +68,8 @@ class PatternGrainedAggregator:
         self.specs = cq.specs
         self.preds = cq.adjacent_predicates
         self.cont = cq.semantics is Semantics.CONT
+        self.columnar = self.cont  # the executor folds CONT with ``scan``
+        self.attr_cols = cq.attr_cols
         an = cq.analysis
         self.start, self.end = an.start, an.end
         self.pred_types = {t: tuple(s) for t, s in an.pred_types.items()}
@@ -48,18 +87,18 @@ class PatternGrainedAggregator:
         )
 
     def _reset_partials(self) -> None:
-        self.el_type, self.el_count = None, 0
+        self.el_type, self.el_attrs, self.el_count = None, {}, 0
         self.el_slots = init_slots(self.specs)
 
     def update(self, etype: str, attrs: dict):
         """Process one event (Lines 2-9); returns its e.count if matched,
         None otherwise (skipped / invalidating)."""
+        if self.cont:
+            self.scan(Substream.from_events([Event(0, 0, etype, attrs)], self.attr_cols))
+            return self.el_count or None
         specs = self.specs
         if etype not in self.pred_types:
-            # Irrelevant event type: cannot be part of any trend.
-            if self.cont:  # breaks contiguity (Lines 8-9)
-                self._reset_partials()
-            return None
+            return None  # irrelevant event type: skipped under NEXT
         self.events_processed += 1
         adjacent = (
             self.el_type is not None
@@ -82,9 +121,79 @@ class PatternGrainedAggregator:
             self.el_type, self.el_attrs = etype, attrs  # Line 7
             self.el_count, self.el_slots = count, slots
             return count
-        if self.cont:  # Lines 8-9: invalidate partial trends
+        return None  # unmatched: skipped under NEXT
+
+    def scan(self, sub: Substream) -> None:
+        """Lines 2-9 under CONT over a chunk of time-ordered events, as one
+        segmented scan of its columns (module docstring)."""
+        n = len(sub)
+        if not n:
+            return
+        is_t = {t: sub.etype == t for t in self.pred_types}
+        relevant = np.logical_or.reduce(list(is_t.values()))
+        self.events_processed += int(relevant.sum())
+
+        # c[i]: Line 3's adjacency of (e_{i-1}, e_i), short of "e_{i-1} is
+        # matched", which count_{i-1} > 0 supplies below.
+        c = np.zeros(n, dtype=bool)
+        for succ, preds_of in self.pred_types.items():
+            for p in preds_of:
+                edge = is_t[p][:-1] & is_t[succ][1:]
+                for theta in self.preds:
+                    if theta.applies(p, succ) and edge.any():
+                        edge &= theta.holds_columns(
+                            sub.cols[theta.pred_attr][:-1],
+                            sub.cols[theta.succ_attr][1:],
+                            edge,
+                        )
+                c[1:] |= edge
+        if self.el_type is not None and relevant[0]:
+            et = sub.etype[0]
+            c[0] = self.el_type in self.pred_types[et] and adjacency_holds(
+                self.preds, self.el_type, self.el_attrs, et, sub.attrs_at(0)
+            )
+
+        # Segment k >= 1 starts at starts[k - 1]; segment 0 continues e_l
+        # and is empty unless c[0].
+        starts = np.flatnonzero(~c)
+        seg = np.cumsum(~c)
+        stops = np.append(starts, n)  # stops[k]: end of segment k
+        carry = self.el_count if c[0] else 0
+        dtype = count_dtype(n, int(np.diff(stops, prepend=0).max()), carry)
+
+        s = is_t[self.start].astype(np.int64).astype(dtype)
+        s[0] += carry
+        cs = np.concatenate([np.zeros(1, dtype), np.cumsum(s)])
+        count = cs[1:] - cs[np.append(0, starts)][seg]
+        ends = is_t[self.end]
+        ce = np.concatenate([[0], np.cumsum(ends)])
+        w = count * (ce[stops[seg]] - ce[:-1])  # count_j * W_j
+        self.final_count += int(count[ends].sum())
+
+        # Slots: the final ones gain the chunk's end events' trends and, once
+        # per end event in segment 0, e_l's slots (Line 6); the carried ones
+        # are those of the last event, if it is matched (Line 7).
+        first_ends = int(ce[stops[0]])
+        matched = count[-1] > 0
+        lo = int(starts[-1]) if len(starts) else 0  # the last segment
+        nowhere = np.zeros(n, dtype=bool)
+        el_slots = []
+        for i, spec in enumerate(self.specs):
+            mask = is_t.get(getattr(spec, "etype", None), nowhere)
+            col = sub.cols.get(getattr(spec, "attr", None))  # None: a COUNT
+            fin = spec.fold_column(None if col is None else col[mask], w[mask])
+            fin = spec.merge(fin, spec.repeat(self.el_slots[i], first_ends))
+            self.final_slots[i] = spec.merge(self.final_slots[i], fin)
+            if matched:
+                m = mask[lo:]
+                slot = spec.fold_column(None if col is None else col[lo:][m], count[lo:][m])
+                # With no segment start, the whole chunk extends e_l's trends.
+                el_slots.append(slot if len(starts) else spec.merge(self.el_slots[i], slot))
+        if matched:
+            self.el_type, self.el_attrs = sub.etype[-1], sub.attrs_at(n - 1)
+            self.el_count, self.el_slots = int(count[-1]), el_slots
+        else:
             self._reset_partials()
-        return None
 
     def trace_row(self, etype: str, e_count):
         """Table-7 columns after every arriving event, matched or not: the

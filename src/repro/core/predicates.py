@@ -20,6 +20,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from repro.core.fsa import PatternAnalysis
 
 _OPS: dict[str, Callable] = {
@@ -83,6 +85,61 @@ class AdjacentPredicate:
         return _OPS[self.op](
             pred_attrs[self.pred_attr], succ_attrs[self.succ_attr] + self.offset
         )
+
+    def holds_columns(
+        self, left: np.ndarray, right: np.ndarray, where: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`holds` for every aligned pair of a predecessor's
+        ``pred_attr`` column ``left`` and a successor's ``succ_attr`` column
+        ``right``: Python's answer at each position in ``where``; the other
+        positions are unspecified.
+
+        NumPy compares int64 with float64 in float64, which rounds an int
+        beyond 2**53; such positions are compared again in Python.
+        Object columns are compared in Python, at ``where`` only.
+        """
+        op = _OPS[self.op]
+        rhs = None
+        if left.dtype != object and right.dtype != object:
+            rhs = _plus(right, self.offset)
+        if rhs is None:
+            idx = np.flatnonzero(where)
+            out = np.zeros(len(left), dtype=bool)
+            off = self.offset
+            out[idx] = [
+                op(a, b + off)
+                for a, b in zip(left[idx].tolist(), right[idx].tolist())
+            ]
+            return out
+        with np.errstate(all="ignore"):  # inf - inf is NaN, as in Python
+            out = op(left, rhs)
+        if left.dtype != rhs.dtype:
+            ints = left if left.dtype == np.int64 else rhs
+            idx = np.flatnonzero(where & ((ints > _EXACT) | (ints < -_EXACT)))
+            out[idx] = [op(a, b) for a, b in zip(left[idx].tolist(), rhs[idx].tolist())]
+        return out
+
+
+# Every int of at most this magnitude converts to float64 exactly.
+_EXACT = 2**53
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+def _plus(col: np.ndarray, offset) -> np.ndarray | None:
+    """``col + offset`` with Python's result type and value (an int column
+    plus an int stays int), or None where NumPy could not give it: an
+    int64 sum beyond int64, an int offset beyond 2**53 or another type."""
+    if type(offset) is float or type(offset) is int and col.dtype == np.float64:
+        if type(offset) is int and abs(offset) > _EXACT:
+            return None
+        with np.errstate(all="ignore"):
+            return col + offset
+    if type(offset) is not int:
+        return None
+    if offset == 0 or not len(col):
+        return col
+    ends = (offset, int(col.min()) + offset, int(col.max()) + offset)
+    return col + offset if all(_INT64[0] <= v <= _INT64[1] for v in ends) else None
 
 
 def adjacency_holds(

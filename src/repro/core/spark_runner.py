@@ -6,9 +6,11 @@ Pipeline (the relational stages in Catalyst, per the paper's executor):
 2. **Partition** — groupBy(grouping/equivalence attrs): the paper's
    "non-overlapping sub-streams … processed in parallel independently".
 3. **Kernel** — one ``applyInPandas`` call per group sorts its events by
-   time once and cuts them into one contiguous slice per covering window
-   (``windows.window_slices``; Li et al.'s window ids, without copying an
-   event into every window that covers it).
+   time once into a columnar ``Substream`` and cuts it into one
+   contiguous slice view per covering window (``windows.window_slices``;
+   Li et al.'s window ids, without copying an event into every window
+   that covers it). Cogra under CONT scans the columns; the other kernels
+   read the group's ``Event`` rows, built once and sliced.
 4. **Aggregate** — each (group, wid) slice runs the granularity-selected
    Cogra aggregator (or a baseline) through ``registry.run_approach`` and
    becomes one output row: the aggregates plus per-substream metrics
@@ -27,7 +29,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.baselines.registry import run_approach
-from repro.core.events import events_from_pandas
+from repro.core.events import Substream
 from repro.core.predicates import _OPS
 from repro.core.query import CompiledQuery, Query
 from repro.core.windows import window_slices
@@ -129,14 +131,12 @@ def run_query(
     window = query.window
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        events = events_from_pandas(
-            pdf, time_col=time_col, type_col=type_col, attr_cols=attr_cols
-        )
+        sub = Substream.from_pandas(pdf, time_col, type_col, attr_cols)
         rows = []
-        for wid, s, t in window_slices([e.time for e in events], window):
+        for wid, s, t in window_slices(sub.time.tolist(), window):
             res = run_approach(
                 approach,
-                events[s:t],
+                sub[s:t],
                 cq,
                 budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
             )

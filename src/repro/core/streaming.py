@@ -10,12 +10,12 @@ every micro-batch, mirroring the paper's per-slide outputs. State has no
 timeout and is never evicted (ROADMAP item 5).
 
 The input and output paths are the batch runner's (``prepare_input``,
-``result_frame``) and the event loop is the executor's ``fold``. Unlike
-the batch runner, which slices each group's windows in one kernel call,
-the stream tags every event with each covering wid (``with_window_ids``)
-and keeps one state per (group, wid). Like
-``registry.run_approach``, each micro-batch checks the attribute domains
-of every relevant event before folding it.
+``result_frame``), the micro-batch becomes one columnar ``Substream``,
+and the event loop is the executor's ``fold``. Unlike the batch runner,
+which slices each group's windows in one kernel call, the stream tags
+every event with each covering wid (``with_window_ids``) and keeps one
+state per (group, wid). Each micro-batch runs ``registry.run_approach``'s
+domain check (``executor.check_substream``) before folding.
 
 Ordering: Definition-7 adjacency is order-sensitive. All of a key's events
 in one micro-batch are sorted by timestamp together, and micro-batches are
@@ -34,8 +34,7 @@ from pyspark.sql import types as T
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core import executor
-from repro.core.aggregates import check_domain
-from repro.core.events import events_from_pandas
+from repro.core.events import Substream
 from repro.core.query import Query
 from repro.core.spark_runner import (
     METRIC_FIELDS,
@@ -71,7 +70,6 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
     stream_df = with_window_ids(stream_df, query.window, query.time_col)
     out_schema = streaming_result_schema(stream_df, query)
     time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
-    pred_types, specs = cq.analysis.pred_types, cq.specs
 
     def fold(
         key: Tuple[Any, ...],
@@ -84,16 +82,11 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
             agg = executor.make_aggregator(cq)
         # Spark splits a key's micro-batch into Arrow-sized chunks; convert
         # them as one substream so its events reach the fold in time order.
-        events = events_from_pandas(
-            pd.concat(pdfs, ignore_index=True),
-            time_col=time_col,
-            type_col=type_col,
-            attr_cols=attr_cols,
+        sub = Substream.from_pandas(
+            pd.concat(pdfs, ignore_index=True), time_col, type_col, attr_cols
         )
-        for e in events:
-            if e.etype in pred_types:
-                check_domain(specs, e.etype, e.attrs)
-        executor.fold(agg, events)
+        executor.check_substream(cq, sub)
+        executor.fold(agg, sub)
         state.update((pickle.dumps(agg),))
         yield result_frame(
             out_schema, key, agg.result(), events=agg.events_processed

@@ -24,7 +24,9 @@ def wid_sequence_expr(window: WindowSpec, time_col: str) -> Column:
     """Array column of the window ids covering ``time_col``.
 
     wid range: max(0, floor((t - size)/slide) + 1) .. floor(t/slide),
-    matching :meth:`repro.core.query.WindowSpec.wids_for`.
+    matching :meth:`repro.core.query.WindowSpec.wids_for`; empty when the
+    upper end is below the lower one (a negative time), where Spark's
+    ``sequence`` would count down.
     """
     t = F.col(time_col)
     lo = F.greatest(
@@ -32,7 +34,9 @@ def wid_sequence_expr(window: WindowSpec, time_col: str) -> Column:
         (F.floor((t - F.lit(window.size)) / F.lit(window.slide)) + F.lit(1)),
     )
     hi = F.floor(t / F.lit(window.slide))
-    return F.sequence(lo.cast("long"), hi.cast("long"))
+    return F.when(hi >= lo, F.sequence(lo.cast("long"), hi.cast("long"))).otherwise(
+        F.array().cast("array<long>")
+    )
 
 
 def with_window_ids(

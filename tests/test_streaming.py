@@ -184,3 +184,27 @@ def test_streaming_count_overflow_matches_batch(spark, tmp_path):
         check_dtype=False,
     )
     assert stream_res.overflow.all()
+
+
+def test_streaming_drops_negative_times_as_batch_does(spark, tmp_path):
+    """Events before window 0 lie in no window in either runner."""
+    pdf = _stream_pdf(n=60, seed=4)
+    pdf["time"] = pdf["time"] - 30  # times -29 .. 30
+    query = Query(
+        pattern="(SEQ(A+, B))+",
+        semantics=Semantics.CONT,
+        aggregates=(Count(), Avg("A", "v")),
+        partition_by=("grp",),
+        window=WindowSpec(size=40, slide=10),
+    )
+    stream_res = _run_streaming(spark, tmp_path, pdf, query)
+    batch_res = run_query(spark.createDataFrame(pdf), query).toPandas()
+    keys = ["grp", "wid"]
+    cols = keys + ["count_star", "avg_A_v", "events"]
+    got = stream_res[cols].sort_values(keys).reset_index(drop=True)
+    exp = batch_res[cols].sort_values(keys).reset_index(drop=True)
+    assert got.wid.min() == 0
+    pd.testing.assert_frame_equal(
+        got.astype({"wid": "int64"}), exp.astype({"wid": "int64"}),
+        check_dtype=False,
+    )

@@ -57,3 +57,13 @@ def test_window_bounds_roundtrip():
         # every time in [lo, hi) maps back to a wid set containing wid
         for t in (lo, lo + 599):
             assert wid in set(w.wids_for(t))
+
+
+def test_negative_time_gets_no_wid(spark):
+    """Spark's ``sequence(0, -1)`` counts down; an event before window 0
+    must get no wid, as ``WindowSpec.wids_for`` gives none."""
+    w = WindowSpec(size=40, slide=10)
+    pdf = pd.DataFrame({"time": [-5, 3, -45]})
+    rows = with_window_ids(spark.createDataFrame(pdf), w, "time").collect()
+    assert sorted((r.time, r.wid) for r in rows) == [(3, 0)]
+    assert [list(w.wids_for(t)) for t in pdf.time] == [[], [0], []]
