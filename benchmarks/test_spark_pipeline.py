@@ -1,5 +1,5 @@
 """End-to-end Spark pipeline benchmark: the full Catalyst + applyInPandas
-executor (filter -> window explode -> partition -> Cogra kernel) on the
+executor (filter -> partition -> window slices -> Cogra kernel) on the
 stock workload with the paper's sliding-window shape."""
 from dataclasses import replace
 

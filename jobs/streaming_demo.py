@@ -1,9 +1,9 @@
 """Structured Streaming demo: Cogra as a stateful streaming aggregation.
 
 Writes the stock workload as chronological file chunks, runs the q3'-style
-ANY query through ``run_query_streaming`` (keyed state = one Cogra
-aggregator per (sector, company, wid)), and prints the final per-window
-aggregates.
+ANY query through ``run_query_streaming`` (keyed state per (sector,
+company): one Cogra aggregator per open window, plus the last event time
+and the late-event count), and prints the final per-window aggregates.
 
 Usage: ``spark-submit jobs/streaming_demo.py``
 """

@@ -5,7 +5,8 @@ chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
 time-ordered :class:`~repro.core.events.Substream`. ``fold`` is the only
 entry point of Cogra: the batch kernel (via ``registry.run_approach``,
 once per (group, window) slice) and the Structured Streaming runner (once
-per key and micro-batch) both run it. ``check_substream`` is the one
+per key, micro-batch and window slice, into that window's carried
+aggregator) both run it. ``check_substream`` is the one
 domain check in front of it, shared by both runners.
 
 Every aggregator implements the same protocol: ``update(etype, attrs)``
@@ -94,7 +95,11 @@ def aggregate_substream(
 ) -> KernelResult:
     """Incrementally aggregate the trends of one substream with the
     coarsest-granularity Cogra aggregator selected for the query."""
-    agg = fold(make_aggregator(cq), as_substream(events, cq), trace)
+    return kernel_result(fold(make_aggregator(cq), as_substream(events, cq), trace))
+
+
+def kernel_result(agg) -> KernelResult:
+    """``agg``'s aggregates, events processed and peak state so far."""
     return KernelResult(
         aggregates=agg.result(),
         events_processed=agg.events_processed,

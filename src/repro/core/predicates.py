@@ -62,7 +62,8 @@ class AdjacentPredicate:
     in a trend (paper's ``E.attr Op NEXT(E').attr`` form).
 
     ``offset`` shifts the successor side; it is the selectivity knob used
-    by the Figure-9 experiment (``selectivity_offset`` in synth_data).
+    by the Figure-9 experiment (``selectivity_offset`` in synth_data). The
+    default is the int 0, so an int attribute stays an exact int.
     """
 
     pred_type: str
@@ -70,7 +71,7 @@ class AdjacentPredicate:
     op: str
     succ_type: str
     succ_attr: str
-    offset: float = 0.0
+    offset: int | float = 0
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:

@@ -13,15 +13,22 @@ Pipeline (the relational stages in Catalyst, per the paper's executor):
    read the group's ``Event`` rows, built once and sliced.
 4. **Aggregate** — each (group, wid) slice runs the granularity-selected
    Cogra aggregator (or a baseline) through ``registry.run_approach`` and
-   becomes one output row: the aggregates plus per-substream metrics
-   (events, peak state bytes, kernel seconds, DNF, overflow). The group's
-   rows leave the kernel as one DataFrame.
+   becomes one output row (``result_row``): the aggregates plus
+   per-substream metrics (events, peak state bytes, kernel seconds, DNF,
+   overflow, and late events, always 0 in batch). The group's rows leave
+   the kernel as one DataFrame.
+
+Stages 3 and 4 are ``window_frame``. The streaming runner
+(``core/streaming``) runs the same stages, ``window_frame`` included,
+once per key and micro-batch, into the same result schema.
 
 The kernel is sequential per substream by design: Definition 7 adjacency
 is order-sensitive, so parallelism comes from partitioning, exactly as in
 the paper (Section 8, "Parallel Processing").
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame
@@ -33,7 +40,7 @@ from repro.core.events import Substream
 from repro.core.predicates import _OPS
 from repro.core.query import CompiledQuery, Query
 from repro.core.windows import window_slices
-from repro.harness.metrics import Budget
+from repro.harness.metrics import Budget, KernelResult
 
 METRIC_FIELDS = [
     T.StructField("events", T.LongType()),
@@ -42,6 +49,7 @@ METRIC_FIELDS = [
     T.StructField("dnf", T.BooleanType()),
     T.StructField("trends_constructed", T.LongType()),
     T.StructField("overflow", T.BooleanType()),
+    T.StructField("late_events", T.LongType()),
 ]
 
 
@@ -98,13 +106,35 @@ def result_row(schema: T.StructType, key: tuple, aggregates: dict, **metrics) ->
     return row
 
 
-def result_frame(
-    schema: T.StructType, key: tuple, aggregates: dict, **metrics
+def window_frame(
+    schema: T.StructType,
+    key: tuple,
+    pdf: pd.DataFrame,
+    cq: CompiledQuery,
+    run: Callable[[int, Substream], KernelResult],
+    late_events: int = 0,
 ) -> pd.DataFrame:
-    """:func:`result_row` as a one-row DataFrame."""
-    return pd.DataFrame(
-        [result_row(schema, key, aggregates, **metrics)], columns=schema.fieldNames()
-    )
+    """One :func:`result_row` per window of the group's events ``pdf``,
+    the windowing path of both runners: the events are sorted by time once
+    into a ``Substream``, and ``run(wid, part)`` evaluates each window's
+    slice view ``part`` (``windows.window_slices``)."""
+    q = cq.query
+    sub = Substream.from_pandas(pdf, q.time_col, q.type_col, cq.attr_cols)
+    rows = []
+    for wid, s, t in window_slices(sub.time.tolist(), q.window):
+        res = run(wid, sub[s:t])
+        rows.append(result_row(
+            schema,
+            (*key, wid),
+            res.aggregates,
+            events=res.events_processed,
+            peak_state_bytes=res.peak_state_bytes,
+            kernel_seconds=res.kernel_seconds,
+            dnf=res.dnf,
+            trends_constructed=res.trends_constructed,
+            late_events=late_events,
+        ))
+    return pd.DataFrame(rows, columns=schema.fieldNames())
 
 
 def run_query(
@@ -127,29 +157,12 @@ def run_query(
     cq = query.compile()
     df = prepare_input(df, cq)
     schema = result_schema(df, cq)
-    time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
-    window = query.window
+
+    def run(_wid: int, part: Substream) -> KernelResult:
+        budget = Budget(max_units=budget_units, max_seconds=budget_seconds)
+        return run_approach(approach, part, cq, budget=budget)
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        sub = Substream.from_pandas(pdf, time_col, type_col, attr_cols)
-        rows = []
-        for wid, s, t in window_slices(sub.time.tolist(), window):
-            res = run_approach(
-                approach,
-                sub[s:t],
-                cq,
-                budget=Budget(max_units=budget_units, max_seconds=budget_seconds),
-            )
-            rows.append(result_row(
-                schema,
-                (*key, wid),
-                res.aggregates,
-                events=res.events_processed,
-                peak_state_bytes=res.peak_state_bytes,
-                kernel_seconds=res.kernel_seconds,
-                dnf=res.dnf,
-                trends_constructed=res.trends_constructed,
-            ))
-        return pd.DataFrame(rows, columns=schema.fieldNames())
+        return window_frame(schema, key, pdf, cq, run)
 
     return df.groupBy(*query.partition_by).applyInPandas(kernel, schema=schema)

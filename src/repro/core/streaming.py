@@ -1,101 +1,102 @@
-"""Structured Streaming deployment of Cogra (calibration-hint mapping).
+"""Structured Streaming deployment of Cogra (paper Sections 7-8).
 
-Cogra's coarse-grained incremental aggregation maps directly onto
-Structured Streaming's stateful aggregation operators: the keyed state per
-(grouping attributes, window id) is one Cogra aggregator — Theta(l) values
-at the type granularity, O(1) at the pattern granularity — and each
-micro-batch folds its events into that state via
-``applyInPandasWithState``. Aggregates are emitted in *update* mode after
-every micro-batch, mirroring the paper's per-slide outputs. State has no
-timeout and is never evicted (ROADMAP item 5).
+The stream takes the batch runner's path: the local filter and column
+select (``prepare_input``), one group per partition key, the group's
+events as one time-ordered ``Substream``, one contiguous slice per
+covering window (``windows.window_slices``), checked by
+``executor.check_substream`` and folded by ``executor.fold``, and one
+output row per window (``result_row``, batch's result schema). Each
+micro-batch runs ``applyInPandasWithState`` once per key.
 
-The input and output paths are the batch runner's (``prepare_input``,
-``result_frame``), the micro-batch becomes one columnar ``Substream``,
-and the event loop is the executor's ``fold``. Unlike the batch runner,
-which slices each group's windows in one kernel call, the stream tags
-every event with each covering wid (``with_window_ids``) and keeps one
-state per (group, wid). Each micro-batch runs ``registry.run_approach``'s
-domain check (``executor.check_substream``) before folding.
+A key's state is one pickle of its open windows' Cogra aggregators
+(wid -> aggregator: Theta(l) values at the type granularity, O(1) at the
+pattern granularity), its last event time and its late-event count.
+After a micro-batch, a window that ends at or before the key's last time
+is closed: in-order input can add no event to it, and its final row has
+been emitted, so it leaves the state. A key thus keeps at most
+ceil(size/slide) aggregators. Without a window clause its one wid-0
+aggregator is never closed.
 
-Ordering: Definition-7 adjacency is order-sensitive. All of a key's events
-in one micro-batch are sorted by timestamp together, and micro-batches are
-assumed to arrive in time order per key (the paper makes the same in-order
-assumption via its time-driven scheduler, Section 8 — out-of-order
-handling a la watermarks is orthogonal to the contribution).
+Rows are emitted in *update* mode, one per window a micro-batch folds
+into, with the aggregates so far (the paper's per-slide outputs).
+``events`` and ``peak_state_bytes`` cover the window so far,
+``kernel_seconds`` is this micro-batch's fold, ``dnf`` is False and
+``trends_constructed`` 0, and ``late_events`` is the key's dropped
+events so far.
+
+Ordering: Definition-7 adjacency is order-sensitive. A key's events in
+one micro-batch are sorted by time together, and micro-batches are
+assumed to arrive in time order per key (the paper makes the same
+in-order assumption via its time-driven scheduler, Section 8). An event
+older than the key's last time is late: it is dropped and counted, never
+folded out of order. An event at exactly the last time is folded (ties
+are ROADMAP item 1).
 """
 from __future__ import annotations
 
+import math
 import pickle
-from typing import Any, Iterator, Tuple
+import time
+from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import types as T
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core import executor
 from repro.core.events import Substream
 from repro.core.query import Query
-from repro.core.spark_runner import (
-    METRIC_FIELDS,
-    prepare_input,
-    result_frame,
-    result_schema,
-)
-from repro.core.windows import with_window_ids
-
-_BATCH_ONLY_METRICS = {f.name for f in METRIC_FIELDS} - {"events", "overflow"}
-
-
-def streaming_result_schema(df: DataFrame, query: Query) -> T.StructType:
-    """The batch result schema with ``events`` and ``overflow`` as its
-    only metrics."""
-    fields = result_schema(df, query.compile()).fields
-    return T.StructType([f for f in fields if f.name not in _BATCH_ONLY_METRICS])
-
-
-_STATE_SCHEMA = T.StructType([T.StructField("blob", T.BinaryType())])
+from repro.core.spark_runner import prepare_input, result_schema, window_frame
+from repro.core.windows import window_bounds
+from repro.harness.metrics import KernelResult
 
 
 def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
     """Evaluate an event trend aggregation query over a *streaming*
-    DataFrame; returns the update-mode result stream (one row per key per
-    micro-batch with the aggregates so far).
+    DataFrame; returns the update-mode result stream (one row per
+    (key, wid) per micro-batch that folds into it, with the aggregates so
+    far), in :func:`~repro.core.spark_runner.result_schema`.
 
     The caller starts the returned stream with ``writeStream`` (see
     ``jobs/streaming_demo.py`` and ``tests/test_streaming.py``).
     """
     cq = query.compile()
     stream_df = prepare_input(stream_df, cq)
-    stream_df = with_window_ids(stream_df, query.window, query.time_col)
-    out_schema = streaming_result_schema(stream_df, query)
-    time_col, type_col, attr_cols = query.time_col, query.type_col, cq.attr_cols
+    schema = result_schema(stream_df, cq)
+    window = query.window
 
     def fold(
-        key: Tuple[Any, ...],
-        pdfs: Iterator[pd.DataFrame],
-        state: GroupState,
+        key: tuple, pdfs: Iterator[pd.DataFrame], state: GroupState
     ) -> Iterator[pd.DataFrame]:
-        if state.exists:
-            agg = pickle.loads(state.get[0])
-        else:
-            agg = executor.make_aggregator(cq)
-        # Spark splits a key's micro-batch into Arrow-sized chunks; convert
+        aggs, last, late = (
+            pickle.loads(state.get[0]) if state.exists else ({}, -math.inf, 0)
+        )
+        # Spark splits a key's micro-batch into Arrow-sized chunks; window
         # them as one substream so its events reach the fold in time order.
-        sub = Substream.from_pandas(
-            pd.concat(pdfs, ignore_index=True), time_col, type_col, attr_cols
-        )
-        executor.check_substream(cq, sub)
-        executor.fold(agg, sub)
-        state.update((pickle.dumps(agg),))
-        yield result_frame(
-            out_schema, key, agg.result(), events=agg.events_processed
-        )
+        pdf = pd.concat(pdfs, ignore_index=True)
+        on_time = pdf[pdf[query.time_col] >= last]
+        late += len(pdf) - len(on_time)
 
-    return stream_df.groupBy(*query.partition_by, "wid").applyInPandasWithState(
+        def run(wid: int, part: Substream) -> KernelResult:
+            if wid not in aggs:
+                aggs[wid] = executor.make_aggregator(cq)
+            executor.check_substream(cq, part)
+            t0 = time.perf_counter()
+            res = executor.kernel_result(executor.fold(aggs[wid], part))
+            res.kernel_seconds = time.perf_counter() - t0
+            return res
+
+        rows = window_frame(schema, key, on_time, cq, run, late)
+        last = max(last, pdf[query.time_col].max())
+        if window is not None:
+            aggs = {w: a for w, a in aggs.items() if window_bounds(window, w)[1] > last}
+        state.update((pickle.dumps((aggs, last, late)),))
+        yield rows
+
+    return stream_df.groupBy(*query.partition_by).applyInPandasWithState(
         fold,
-        outputStructType=out_schema,
-        stateStructType=_STATE_SCHEMA,
+        outputStructType=schema,
+        stateStructType="blob binary",
         outputMode="update",
         timeoutConf=GroupStateTimeout.NoTimeout,
     )

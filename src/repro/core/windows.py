@@ -3,11 +3,11 @@
 WITHIN ``size`` SLIDE ``slide`` partitions the unbounded stream into
 overlapping windows; window ``k`` spans ``[k*slide, k*slide + size)``.
 An event at time ``t`` falls into ``size/slide`` consecutive windows
-[Li et al., SIGMOD'05]. The batch runner cuts each group's time-ordered
-events into one contiguous slice per window (``window_slices``); the
-streaming runner tags each event with every covering window id *wid*
-(``with_window_ids``), so its per-(group, wid) state is an ordinary keyed
-aggregation.
+[Li et al., SIGMOD'05]. The batch and the streaming runner both cut each
+group's time-ordered events into one contiguous slice per window
+(``window_slices``) instead of copying an event into every window that
+covers it. ``with_window_ids`` still does that copy, one row per (event,
+window id *wid*), for the benchmark's fan-out count only.
 """
 from __future__ import annotations
 

@@ -167,15 +167,16 @@ def test_chunks_compose_at_every_cut(pattern, preds):
 
 
 def test_ints_beyond_2_53_compare_exactly():
-    """2**53 + 1 <= float(2**53 + 1) is False in Python (the float rounds
-    down to 2**53), but True if NumPy compared both in float64."""
-    cq = cq_of("A+", (AdjacentPredicate("A", "v", "<=", "A", "v"),), (Count(),))
-    pdf = frame("AA", [BIG + 1, BIG + 1])
-    assert scan(pdf, cq) == row_fold(Substream.from_pandas(pdf, attr_cols=("v",)).rows(), cq)
-    assert scan(pdf, cq) == {"count_star": 2}
-    # An int offset keeps the sum an int, and the ints compare equal.
-    cq = cq_of("A+", (AdjacentPredicate("A", "v", "<=", "A", "v", offset=0),), (Count(),))
-    assert scan(pdf, cq) == {"count_star": 3}
+    """The default offset is the int 0, so the ints are compared exactly:
+    a float offset would round 2**53 + 1 down to 2**53 (``BIG + 1 <=
+    BIG + 1`` False, ``BIG == BIG + 1`` True), and NumPy would compare
+    int64 with float64 in float64."""
+    for op, values, count in [("<=", [BIG + 1, BIG + 1], 3), ("==", [BIG, BIG + 1], 2)]:
+        cq = cq_of("A+", (AdjacentPredicate("A", "v", op, "A", "v"),), (Count(),))
+        pdf = frame("AA", values)
+        events = Substream.from_pandas(pdf, attr_cols=("v",)).rows()
+        assert scan(pdf, cq) == row_fold(events, cq) == {"count_star": count}, op
+        assert aggregate_bruteforce(events, cq) == {"count_star": count}, op
 
 
 def test_inf_is_a_value_of_min_and_max():

@@ -17,7 +17,7 @@ from repro.core.events import Event
 from repro.core.executor import aggregate_substream
 from repro.core.granularity import Semantics
 from repro.core.query import Query
-from repro.core.spark_runner import result_frame, run_query
+from repro.core.spark_runner import result_row, run_query
 
 N = 5_000
 A_PLUS_ANY = Query(
@@ -125,18 +125,14 @@ def test_domain_checked_where_no_trend_reaches(spec, bad, semantics):
             run_approach(name, events, cq)
 
 
-def test_result_frame_rounds_once_and_flags_overflow():
+def test_result_row_rounds_once_and_flags_overflow():
     schema = T.StructType([
         T.StructField("grp", T.LongType()),
         T.StructField("count_star", T.DoubleType()),
         T.StructField("sum_A_v", T.DoubleType()),
         T.StructField("overflow", T.BooleanType()),
     ])
-    big = result_frame(schema, (0,), {"count_star": 2**1024, "sum_A_v": Fraction(1, 3)})
-    assert big.to_dict("records") == [
-        {"grp": 0, "count_star": None, "sum_A_v": 1 / 3, "overflow": True}
-    ]
-    small = result_frame(schema, (1,), {"count_star": 2**1023, "sum_A_v": None})
-    assert small.to_dict("records") == [
-        {"grp": 1, "count_star": 2.0**1023, "sum_A_v": None, "overflow": False}
-    ]
+    big = result_row(schema, (0,), {"count_star": 2**1024, "sum_A_v": Fraction(1, 3)})
+    assert big == {"grp": 0, "count_star": None, "sum_A_v": 1 / 3, "overflow": True}
+    small = result_row(schema, (1,), {"count_star": 2**1023, "sum_A_v": None})
+    assert small == {"grp": 1, "count_star": 2.0**1023, "sum_A_v": None, "overflow": False}

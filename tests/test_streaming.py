@@ -29,20 +29,30 @@ def _run_streaming(spark, tmp_path, pdf, query, n_chunks=3):
     """Write the stream as chronological file chunks, process them as
     separate micro-batches (maxFilesPerTrigger=1, availableNow), and
     return the final state of each key from the update-mode output."""
+    chunks = [pdf.iloc[c] for c in np.array_split(np.arange(len(pdf)), n_chunks)]
+    return _stream_files(spark, tmp_path, chunks, query)[0]
+
+
+def _stream_files(spark, tmp_path, chunks, query):
+    """Stream ``chunks`` as one file each, in list order, and return the
+    final row of each (key, wid) and the progress of each micro-batch
+    that read input."""
+    import json
     import os
     import time as _time
 
     src = tmp_path / "stream_src"
     src.mkdir()
     base = _time.time()
-    for i, chunk in enumerate(np.array_split(np.arange(len(pdf)), n_chunks)):
+    for i, chunk in enumerate(chunks):
         path = src / f"part-{i:03d}.json"
-        pdf.iloc[chunk].to_json(path, orient="records", lines=True)
+        chunk.to_json(path, orient="records", lines=True)
         # The file source orders micro-batches by modification time; give
-        # the chronological chunks strictly increasing mtimes so batches
-        # arrive in stream order (the in-order assumption of DESIGN.md).
+        # the chunks strictly increasing mtimes so batches arrive in list
+        # order (the in-order assumption of DESIGN.md, unless a test
+        # writes an old chunk late on purpose).
         os.utime(path, (base + i, base + i))
-    schema = spark.createDataFrame(pdf.head(1)).schema
+    schema = spark.createDataFrame(chunks[0].head(1)).schema
     stream = (
         spark.readStream.schema(schema)
         .option("maxFilesPerTrigger", 1)
@@ -59,12 +69,15 @@ def _run_streaming(spark, tmp_path, pdf, query, n_chunks=3):
         .start()
     )
     q.awaitTermination(120)
+    progress = [p for p in (json.loads(p.json) for p in q.recentProgress)
+                if p["numInputRows"] > 0]
     rows = spark.sql(f"SELECT * FROM {sink}").toPandas()
     # Update mode appends one row per key per micro-batch; the final
     # answer is the last row per key (``GroupBy.last`` would instead take
     # each column's last non-null value, hiding a null aggregate).
     keys = [*query.partition_by, "wid"]
-    return rows.groupby(keys).tail(1).sort_values(keys).reset_index(drop=True)
+    final = rows.groupby(keys).tail(1).sort_values(keys).reset_index(drop=True)
+    return final, progress
 
 
 @pytest.mark.parametrize(
@@ -207,4 +220,70 @@ def test_streaming_drops_negative_times_as_batch_does(spark, tmp_path):
     pd.testing.assert_frame_equal(
         got.astype({"wid": "int64"}), exp.astype({"wid": "int64"}),
         check_dtype=False,
+    )
+
+
+def _assert_equals_batch(spark, stream_res, pdf, query, cols):
+    batch_res = run_query(spark.createDataFrame(pdf), query).toPandas()
+    keys = [*query.partition_by, "wid"]
+    got = stream_res[keys + cols].sort_values(keys).reset_index(drop=True)
+    exp = batch_res[keys + cols].sort_values(keys).reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        got.astype({"wid": "int64"}), exp.astype({"wid": "int64"}),
+        check_dtype=False,
+    )
+
+
+WINDOWED = Query(
+    pattern="(SEQ(A+, B))+",
+    semantics=Semantics.ANY,
+    aggregates=(Count(), Avg("A", "v")),
+    partition_by=("grp",),
+    window=WindowSpec(size=40, slide=10),
+)
+
+
+def test_streaming_state_holds_one_row_per_group(spark, tmp_path):
+    """State is keyed by group, and closed windows leave it: after every
+    micro-batch the state store holds one row per group, however many
+    windows the stream has opened."""
+    pdf = _stream_pdf(n=160, seed=11)
+    chunks = [pdf.iloc[c] for c in np.array_split(np.arange(len(pdf)), 4)]
+    assert set(chunks[0].grp) == set(pdf.grp)  # every group from batch one
+    stream_res, progress = _stream_files(spark, tmp_path, chunks, WINDOWED)
+    state_rows = [p["stateOperators"][0]["numRowsTotal"] for p in progress]
+    assert state_rows == [pdf.grp.nunique()] * len(chunks)
+    _assert_equals_batch(spark, stream_res, pdf, WINDOWED,
+                         ["count_star", "avg_A_v", "events", "late_events"])
+
+
+def test_streaming_drops_and_counts_late_events(spark, tmp_path):
+    """An old file that arrives after newer ones is dropped and counted in
+    ``late_events``; the aggregates stay those of the in-order events."""
+    pdf = _stream_pdf()  # times 1..120, three files of 40
+    chunks = [pdf.iloc[c] for c in np.array_split(np.arange(len(pdf)), 3)]
+    old = pdf[pdf.time <= 30]
+    assert set(chunks[1].grp) == set(pdf.grp)  # every key is past time 30
+    stream_res, _ = _stream_files(
+        spark, tmp_path, [chunks[0], chunks[1], old, chunks[2]], WINDOWED
+    )
+    _assert_equals_batch(spark, stream_res, pdf, WINDOWED,
+                         ["count_star", "avg_A_v", "events"])
+    # Windows from wid 9 on start at time 90: only the last file reaches
+    # them, so their rows come after the old file.
+    after = stream_res[stream_res.wid >= 9]
+    expected = after.grp.map(old.grp.value_counts())
+    assert (after.late_events > 0).all()
+    assert after.late_events.tolist() == expected.tolist()
+    assert (stream_res[stream_res.wid <= 3].late_events == 0).all()
+
+
+def test_streaming_schema_is_the_batch_schema(spark, tmp_path):
+    schema = spark.createDataFrame(_stream_pdf(n=1)).schema
+    (tmp_path / "src").mkdir()
+    stream = spark.readStream.schema(schema).json(str(tmp_path / "src"))
+    batch = spark.read.schema(schema).json(str(tmp_path / "src"))
+    assert (
+        run_query_streaming(stream, WINDOWED).schema
+        == run_query(batch, WINDOWED).schema
     )
