@@ -99,9 +99,10 @@ class Substream:
     ) -> "Substream":
         """Sort ``pdf`` by time once and keep the given columns.
 
-        Events are ordered by (time, arrival index) — the paper's stream
-        transactions (Section 8) require in-order processing per timestamp;
-        the arrival index is the deterministic tie-break within a timestamp.
+        The sort is stable, so events of one timestamp keep their order in
+        ``pdf``. After a Spark shuffle that order is not fixed, so a kernel
+        whose result depends on it (one without the paper's Section-8
+        stream transactions) may differ between runs; see ROADMAP item 1.
         """
         pdf = pdf.sort_values(time_col, kind="stable")
         return cls(

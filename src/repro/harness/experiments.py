@@ -36,7 +36,7 @@ from repro.synth_data import (
     transport_stream_pdf,
 )
 
-# The experiment queries, shared with the pytest-benchmark suite.
+# The experiment queries, shared with tests/test_experiment_points.py.
 Q1 = Query(  # E1
     pattern="M+",
     semantics=Semantics.CONT,

@@ -67,6 +67,12 @@ def mkstream_random_floats(n: int, seed: int, types: str = "ABC") -> list[Event]
     ]
 
 
+def mkstream_tied(n: int, seed: int) -> list[Event]:
+    """``mkstream`` over A/B with two events per timestamp. Definition 7
+    orders a trend by strictly increasing time, so no trend holds both."""
+    return [e._replace(time=e.eid // 2 + 1) for e in mkstream(n, seed, "AB")]
+
+
 def check_all_approaches(events, pattern, semantics, pred_key):
     cq = Query(
         pattern=pattern,
@@ -116,6 +122,24 @@ def test_all_approaches_match_bruteforce_random_floats(
     check_all_approaches(
         mkstream_random_floats(11, seed), pattern, semantics, pred_key
     )
+
+
+# Cogra and A-Seq lack stream transactions (Section 8): tied events read
+# each other's state.
+_TIES_UNSUPPORTED = pytest.mark.xfail(raises=AssertionError, strict=True,
+                                      reason="ROADMAP item 1")
+
+
+@pytest.mark.parametrize("approach, semantics", [
+    pytest.param(name, sem, marks=_TIES_UNSUPPORTED if name in ("cogra", "aseq") else ())
+    for name, info in APPROACHES.items() for sem in Semantics if sem in info.semantics
+])
+@pytest.mark.parametrize("pattern", ["A+", "SEQ(A+, B)", "SEQ(A+, B+)"])
+@pytest.mark.parametrize("seed", range(10))
+def test_tied_timestamps_match_bruteforce(approach, semantics, pattern, seed):
+    events = mkstream_tied(10, seed)
+    cq = Query(pattern=pattern, semantics=semantics, aggregates=AGGS).compile()
+    assert run_approach(approach, events, cq).aggregates == aggregate_bruteforce(events, cq)
 
 
 @pytest.mark.parametrize("semantics", list(Semantics))
