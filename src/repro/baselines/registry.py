@@ -16,6 +16,15 @@ aggregates, accounts its state in ``res.meter`` and, if it constructs
 trends, counts them in ``res.trends_constructed``. Cogra under CONT reads
 the substream's columns; every other kernel reads its ``Event`` rows,
 which are built before the clock starts.
+
+``run_approach_windows`` is its per-group form, the one the Spark runner
+calls: one ``KernelResult`` per window that covers one of a group's
+events (``windows.window_cuts``; with no window clause the whole group is
+wid 0), after one domain check over the events that lie in some window.
+Cogra at the TYPE granularity folds every window in one shared pass
+(``MixedGrainedAggregator.scan_windows``), and each window's
+``kernel_seconds`` is an even share of that pass; every other run is
+``run_approach``'s timed kernel call on each window's slice.
 """
 from __future__ import annotations
 
@@ -23,14 +32,17 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.baselines.aseq import run_aseq
 from repro.baselines.flink_like import run_flink_like
 from repro.baselines.greta import run_greta
 from repro.baselines.sase import run_sase
 from repro.core.events import Event, Substream
 from repro.core.executor import as_substream, check_substream, fold, make_aggregator
-from repro.core.granularity import Semantics
+from repro.core.granularity import Granularity, Semantics
 from repro.core.query import CompiledQuery
+from repro.core.windows import window_cuts, window_plan
 from repro.harness.metrics import Budget, BudgetExceeded, KernelResult
 
 
@@ -112,6 +124,27 @@ def supports(name: str, cq: CompiledQuery) -> bool:
     return True
 
 
+def _info(name: str, cq: CompiledQuery) -> ApproachInfo:
+    if not supports(name, cq):
+        raise ValueError(f"approach {name!r} does not support this query (Table 9)")
+    return APPROACHES[name]
+
+
+def _timed_run(
+    info: ApproachInfo, sub: Substream, cq: CompiledQuery, events: int, budget: Budget
+) -> KernelResult:
+    res = KernelResult(events_processed=events)
+    t0 = time.perf_counter()
+    try:
+        res.aggregates = info.run(sub, cq, res, budget)
+    except (BudgetExceeded, RecursionError):
+        res.aggregates = {s.name: None for s in cq.specs}
+        res.dnf = True
+    res.kernel_seconds = time.perf_counter() - t0
+    res.peak_state_bytes = res.meter.peak
+    return res
+
+
 def run_approach(
     name: str,
     events: Substream | Sequence[Event],
@@ -121,19 +154,44 @@ def run_approach(
 ) -> KernelResult:
     """Run one approach over one substream, timing it end to end; a run
     that exhausts its budget (or the interpreter's stack) is a DNF row."""
-    if not supports(name, cq):
-        raise ValueError(f"approach {name!r} does not support this query (Table 9)")
-    info = APPROACHES[name]
+    info = _info(name, cq)
     sub = as_substream(events, cq)
-    res = KernelResult(events_processed=check_substream(cq, sub))
+    relevant = int(check_substream(cq, sub).sum())
     if cq.semantics not in info.columnar:
         sub.rows()  # built once per group, outside the kernel's time
-    t0 = time.perf_counter()
-    try:
-        res.aggregates = info.run(sub, cq, res, budget or Budget())
-    except (BudgetExceeded, RecursionError):
-        res.aggregates = {s.name: None for s in cq.specs}
-        res.dnf = True
-    res.kernel_seconds = time.perf_counter() - t0
-    res.peak_state_bytes = res.meter.peak
-    return res
+    return _timed_run(info, sub, cq, relevant, budget or Budget())
+
+
+def run_approach_windows(
+    name: str,
+    sub: Substream,
+    cq: CompiledQuery,
+    *,
+    new_budget: Callable[[], Budget] = Budget,
+) -> list[tuple[int, KernelResult]]:
+    """Run one approach over every window of one group's time-ordered
+    ``sub``: ``(wid, result)`` in wid order (module docstring). A window's
+    run that exhausts its ``new_budget()`` is a DNF row."""
+    info = _info(name, cq)
+    lo, hi = window_plan(sub.time, cq.query.window)
+    wids, s, t = window_cuts(lo, hi)
+    if not len(wids):
+        return []
+    first = int(s[0])  # the events from here on lie in some window
+    relevant = np.concatenate([[0], np.cumsum(check_substream(cq, sub[first:]))])
+    events = (relevant[t - first] - relevant[s - first]).tolist()
+    if name == "cogra" and cq.granularity is Granularity.TYPE:
+        agg = make_aggregator(cq)
+        t0 = time.perf_counter()
+        aggregates = agg.scan_windows(sub, lo, hi, wids)
+        share = (time.perf_counter() - t0) / len(wids)
+        return [
+            (w, KernelResult(a, e, agg.meter.peak, share))
+            for w, a, e in zip(wids.tolist(), aggregates, events)
+        ]
+    if cq.semantics not in info.columnar:
+        sub.rows()  # built once per group, outside the kernel's time
+    return [
+        (w, _timed_run(info, sub[x:y], cq, e, new_budget()))
+        for w, x, y, e in zip(wids.tolist(), s.tolist(), t.tolist(), events)
+    ]

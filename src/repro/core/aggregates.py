@@ -24,11 +24,14 @@ Each spec implements the Table-8 algebra on its slot:
 This algebra covers exactly the distributive/algebraic functions the paper
 supports (Section 2.3, citing Gray et al.'s data-cube classification).
 
-Two more operations serve the CONT scan, which folds whole columns:
+Two more operations serve the column scans (the CONT scan and the
+shared window fold of Algorithm 1), which fold whole columns:
 
-* ``fold_column`` — the merged slot of many events of type ``E`` with
-  attribute values ``x`` (None for COUNT), each applied with its integer
-  trend count ``w_j``; events with ``w_j = 0`` add nothing,
+* ``fold_segments`` — per segment ``[cuts[k], cuts[k+1])`` of a column,
+  the merged slot of its events of type ``E`` with attribute values ``x``
+  (None for COUNT), each applied with its integer trend count ``w_j``;
+  events with ``w_j = 0`` add nothing. ``fold_column`` is its one-segment
+  case,
 * ``repeat``    — the merge of ``k`` copies of one slot value.
 
 Arithmetic is exact (DESIGN.md, "Arithmetic mode"): counts are Python
@@ -68,8 +71,11 @@ class AggSpec:
     def finalize(self, val, final_count):
         raise NotImplementedError
 
-    def fold_column(self, x: np.ndarray | None, w: np.ndarray):
+    def fold_segments(self, x: np.ndarray | None, w: np.ndarray, cuts: np.ndarray) -> list:
         raise NotImplementedError
+
+    def fold_column(self, x: np.ndarray | None, w: np.ndarray):
+        return self.fold_segments(x, w, np.array([0, len(w)]))[0]
 
     def repeat(self, val, k: int):
         raise NotImplementedError
@@ -95,8 +101,8 @@ class Count(AggSpec):
     def finalize(self, val, final_count):
         return final_count
 
-    def fold_column(self, x, w):
-        return 0
+    def fold_segments(self, x, w, cuts):
+        return [0] * (len(cuts) - 1)
 
     def repeat(self, val, k):
         return val
@@ -126,8 +132,8 @@ class CountType(AggSpec):
     def finalize(self, val, final_count):
         return val
 
-    def fold_column(self, x, w):
-        return int(w.sum())
+    def fold_segments(self, x, w, cuts):
+        return segment_sums(w, cuts)
 
     def repeat(self, val, k):
         return val * k
@@ -164,17 +170,21 @@ class _Extremum(AggSpec):
     def finalize(self, val, final_count):
         return val
 
-    def fold_column(self, x, w):
-        x = x[w > 0]
-        if not len(x):
-            return None
+    def fold_segments(self, x, w, cuts):
+        pos = w > 0
+        x, cuts = x[pos], select_cuts(pos, cuts)
         if x.dtype == object:
             for v in x.tolist():
                 ordered_value(self, v)
-            return self.pick(x)  # the Python object itself
-        if x.dtype.kind == "f" and np.isnan(x).any():
+        elif x.dtype.kind == "f" and np.isnan(x).any():
             ordered_value(self, float("nan"))  # raises
-        return self.pick(x).item()
+        out = [None] * (len(cuts) - 1)
+        full = np.flatnonzero(cuts[:-1] < cuts[1:])
+        if len(full):
+            # tolist: Python scalars, or the Python objects themselves
+            for k, v in zip(full.tolist(), self.pick.reduceat(x, cuts[full]).tolist()):
+                out[k] = v
+        return out
 
     def repeat(self, val, k):
         return val if k else None
@@ -186,7 +196,7 @@ class Min(_Extremum):
     def keep(self, a, b):
         return a if a <= b else b
 
-    pick = staticmethod(np.min)  # of a column
+    pick = np.minimum  # a ufunc: its ``reduceat`` folds the segments
 
 
 class Max(_Extremum):
@@ -195,7 +205,7 @@ class Max(_Extremum):
     def keep(self, a, b):
         return a if a >= b else b
 
-    pick = staticmethod(np.max)
+    pick = np.maximum
 
 
 def ordered_value(spec: AggSpec, x):
@@ -224,50 +234,71 @@ def _add(n1: int, k1: int, n2: int, k2: int) -> tuple[int, int]:
     return n1 + (n2 << (k1 - k2)), k1
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Sum of a_j * b_j over Python ints: no product can wrap."""
-    return sum(map(operator.mul, a.tolist(), b.tolist()))
+def select_cuts(mask: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The segment bounds ``cuts`` of a column, as bounds in ``column[mask]``."""
+    return np.concatenate([[0], np.cumsum(mask)])[cuts]
 
 
-# Exponent band of one Python-int dot product in ``exact_dot``: mantissas
+def segment_sums(w: np.ndarray, cuts: np.ndarray) -> list:
+    """Sum of ``w`` over each segment ``[cuts[k], cuts[k+1])`` (0 if it is
+    empty), as Python ints; ``cuts[-1] == len(w)``, and ``w``'s dtype
+    holds every segment's sum."""
+    out = np.zeros(len(cuts) - 1, w.dtype)
+    full = cuts[:-1] < cuts[1:]
+    if full.any():
+        # reduceat sums up to the next full segment's start: this one's end.
+        out[full] = np.add.reduceat(w, cuts[:-1][full])
+    return out.tolist()
+
+
+# Exponent band of one Python-int dot product in ``exact_dots``: mantissas
 # below 2**53 shifted by fewer than 10 bits stay below 2**63.
 _BAND = 10
 
 
-def exact_dot(spec: AggSpec, x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
-    """Sum of x_j * w_j as a binary fraction (num, k), for a column ``x``
-    of finite ints or floats and integer weights ``w``.
+def exact_dots(
+    spec: AggSpec, x: np.ndarray, w: np.ndarray, cuts: np.ndarray
+) -> list[tuple[int, int]]:
+    """Per segment ``[cuts[k], cuts[k+1])``: the sum of x_j * w_j as a
+    binary fraction (num, k), for a column ``x`` of finite ints or floats
+    and integer weights ``w``.
 
     A float is m * 2**e with an integer mantissa |m| < 2**53 (``frexp``).
     NumPy gives the mantissas and exponents, and one Python-int dot product
-    per band of ``_BAND`` exponents sums them exactly.
+    per segment and band of ``_BAND`` exponents sums them exactly.
     """
     nz = w != 0
-    x, w = x[nz], w[nz]
-    if x.dtype == np.int64:
-        return _dot(x, w), 0
-    num, k = 0, 0
+    x, w, cuts = x[nz], w[nz], select_cuts(nz, cuts)
+    segs = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
     if x.dtype == object:
-        for v, c in zip(x.tolist(), w.tolist()):
-            m, e = binary_fraction(spec, v)
-            num, k = _add(num, k, m * c, e)
-        return num, k
-    finite = np.isfinite(x)
-    if not finite.all():
-        binary_fraction(spec, x[~finite][0].item())  # raises
+        fr = [binary_fraction(spec, v) for v in x.tolist()]
+        k = max((e for _, e in fr), default=0)
+        terms = [(m << (k - e)) * c for (m, e), c in zip(fr, w.tolist())]
+        return [(sum(terms[a:b]), k) for a, b in segs]
+    if x.dtype == np.int64:
+        m, e = x, np.zeros(len(x), np.int64)
+    else:
+        finite = np.isfinite(x)
+        if not finite.all():
+            binary_fraction(spec, x[~finite][0].item())  # raises
+        mant, exp = np.frexp(x)
+        m = (mant * 2.0**53).astype(np.int64)
+        e = exp.astype(np.int64) - 53
+    out = [(0, 0)] * len(segs)
     if not len(x):
-        return 0, 0
-    mant, exp = np.frexp(x)
-    m = (mant * 2.0**53).astype(np.int64)
-    e = exp.astype(np.int64) - 53
+        return out
     e0 = int(e.min())
     band = (e - e0) // _BAND
     for b in np.unique(band).tolist():
         sel = band == b
         p = e0 + _BAND * b
-        d = _dot(m[sel] << (e[sel] - p), w[sel])
-        num, k = _add(num, k, *((d << p, 0) if p >= 0 else (d, -p)))
-    return num, k
+        ms, ws = (m[sel] << (e[sel] - p)).tolist(), w[sel].tolist()
+        bc = select_cuts(sel, cuts).tolist()
+        for j, (lo, hi) in enumerate(zip(bc[:-1], bc[1:])):
+            if lo < hi:
+                d = sum(map(operator.mul, ms[lo:hi], ws[lo:hi]))
+                out[j] = _add(*out[j], *((d << p, 0) if p >= 0 else (d, -p)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -301,8 +332,8 @@ class Sum(AggSpec):
         s = Fraction(val[0], 1 << val[1])
         return s.numerator if s.denominator == 1 else s
 
-    def fold_column(self, x, w):
-        return exact_dot(self, x, w)
+    def fold_segments(self, x, w, cuts):
+        return exact_dots(self, x, w, cuts)
 
     def repeat(self, val, k):
         return (val[0] * k, val[1])
@@ -340,8 +371,8 @@ class Avg(AggSpec):
         # One correctly rounded int / int division.
         return None if c == 0 else num / (c << k)
 
-    def fold_column(self, x, w):
-        return (*exact_dot(self, x, w), int(w.sum()))
+    def fold_segments(self, x, w, cuts):
+        return [(*d, c) for d, c in zip(exact_dots(self, x, w, cuts), segment_sums(w, cuts))]
 
     def repeat(self, val, k):
         return (val[0] * k, val[1], val[2] * k)

@@ -2,12 +2,14 @@
 
 ``make_aggregator`` builds the granularity-appropriate Cogra aggregator
 chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
-time-ordered :class:`~repro.core.events.Substream`. ``fold`` is the only
-entry point of Cogra: the batch kernel (via ``registry.run_approach``,
-once per (group, window) slice) and the Structured Streaming runner (once
-per key, micro-batch and window slice, into that window's carried
-aggregator) both run it. ``check_substream`` is the one
-domain check in front of it, shared by both runners.
+time-ordered :class:`~repro.core.events.Substream`. ``fold`` is Cogra's
+entry point for one substream: ``registry.run_approach`` runs it, the
+batch kernel on each (group, window) slice except at the TYPE
+granularity, where ``registry.run_approach_windows`` folds all of a
+group's windows at once (``MixedGrainedAggregator.scan_windows``), and
+the Structured Streaming runner once per key, micro-batch and window
+slice, into that window's carried aggregator. ``check_substream`` is the
+one domain check in front of both, shared by both runners.
 
 Every aggregator implements the same protocol: ``update(etype, attrs)``
 returns the event's e.count (None if unmatched), ``result()`` finalizes
@@ -53,8 +55,8 @@ def as_substream(events: Substream | Sequence[Event], cq: CompiledQuery) -> Subs
     return Substream.from_events(events, cq.attr_cols)
 
 
-def check_substream(cq: CompiledQuery, sub: Substream) -> int:
-    """The number of relevant events in ``sub``, after checking that every
+def check_substream(cq: CompiledQuery, sub: Substream) -> np.ndarray:
+    """The mask of ``sub``'s relevant events, after checking that every
     attribute aggregated over them lies in its function's domain
     (``aggregates.check_domain``, as column operations); raises
     ``ValueError`` otherwise."""
@@ -63,7 +65,7 @@ def check_substream(cq: CompiledQuery, sub: Substream) -> int:
         attr = getattr(spec, "attr", None)
         if attr is not None and spec.etype in pred_types:
             check_column(spec, sub.cols[attr][sub.etype == spec.etype])
-    return int(np.isin(sub.etype, list(pred_types)).sum())
+    return np.isin(sub.etype, list(pred_types))
 
 
 def fold(agg, sub: Substream, trace: list | None = None):

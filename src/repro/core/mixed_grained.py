@@ -22,18 +22,65 @@ of a predecessor type is adjacent (Definition 7), events are discarded
 immediately, the final count is end(P).count (Theorem 4.1), time is
 O(n*l) and space Theta(l) (Theorems 4.2-4.3). The executor therefore runs
 this one class for both the TYPE and the MIXED granularity of Table 4.
+
+Algorithm 1 over a group's sliding windows is one shared fold
+(:meth:`MixedGrainedAggregator.scan_windows`, after Li et al.'s panes):
+an event's update is the same in every window that covers it, only the
+set of open windows differs, so each event's e.count is one vector over
+its windows (at most size/slide of them):
+
+* ``fwd_i`` — e.count, a forward pass: the partial trends ending at i;
+* ``bwd_i`` — a backward pass of the mirrored recurrence: the ways to
+  finish a trend from i (successor types, +1 if E = end(P));
+* i lies in ``fwd_i * bwd_i`` of the window's trends, so COUNT(E), SUM,
+  AVG and MIN/MAX are ``AggSpec.fold_segments`` over the (event, window)
+  pairs with those weights, one segment per window, and COUNT(*) is the
+  window's sum of ``fwd`` over end events.
+
+A window of m relevant events has fewer than 2**m trends, so every count
+and weight is below 2**m and a window's sum of weights below m * 2**m.
+The passes add Python ints; the (event, window) arrays are int64 while
+that bound, computed before the fold, stays below 2**63, and hold Python
+ints beyond it.
 """
 from __future__ import annotations
+
+import operator
+from itertools import chain
+
+import numpy as np
 
 from repro.core.aggregates import (
     apply_event_slots,
     finalize_slots,
     init_slots,
     merge_slots,
+    segment_sums,
+    select_cuts,
 )
+from repro.core.events import Substream
+from repro.core.pattern_grained import INT64_LIMIT
 from repro.core.predicates import adjacency_holds
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
+
+
+def _vector_pass(steps, into, plus, n_types: int, n_windows: int) -> list[list]:
+    """One pass of ``v = plus[E] + sum of S[E'] for E' in into[E]``, then
+    ``S[E] += v``, over the events ``steps`` = (type code E, window
+    positions [x, y)), each a vector over its windows. Python ints: a
+    vector holds at most size/slide of them, too few for NumPy's per-call
+    cost to pay. Returns each event's ``v``."""
+    S = [[0] * n_windows for _ in range(n_types)]
+    out = []
+    for c, x, y in steps:
+        v = [plus[c]] * (y - x)
+        for e in into[c]:
+            v = list(map(operator.add, S[e][x:y], v))
+        s = S[c]
+        s[x:y] = map(operator.add, s[x:y], v)
+        out.append(v)
+    return out
 
 
 class MixedGrainedAggregator:
@@ -104,6 +151,59 @@ class MixedGrainedAggregator:
                 for i in range(nslots):
                     self.final[i + 1] = specs[i].merge(self.final[i + 1], slots[i])
         return e_count
+
+    def scan_windows(
+        self, sub: Substream, lo: np.ndarray, hi: np.ndarray, wids: np.ndarray
+    ) -> list[dict]:
+        """Algorithm 1 over every window of a group in one shared fold
+        (module docstring): the aggregates of each window of ``wids``, the
+        windows covering one of the time-ordered events of ``sub``, given
+        its ``windows.window_plan`` ``(lo, hi)``. T_e must be empty."""
+        if self.V:
+            raise ValueError("the shared window fold is Algorithm 1 (T_e empty)")
+        types = list(self.pred_types)
+        code = {t: c for c, t in enumerate(types)}
+        idx = np.flatnonzero(np.isin(sub.etype, types) & (lo <= hi))
+        etype = sub.etype[idx]
+        tcode = np.zeros(len(idx), np.int64)
+        for t, c in code.items():
+            tcode[etype == t] = c
+        # Event j's k_j windows lo_j..hi_j are the positions a_j.. of wids;
+        # its (event, window) pairs, event-major, end before q_j.
+        a = np.searchsorted(wids, lo[idx])
+        k = hi[idx] - lo[idx] + 1
+        q = np.cumsum(k)
+        pairs = int(q[-1]) if len(q) else 0
+        pos = np.repeat(a - q + k, k) + np.arange(pairs)
+        per_window = np.bincount(pos, minlength=len(wids))
+        m = int(per_window.max()) if len(wids) else 0
+        dtype = object if m << m >= INT64_LIMIT else np.int64
+
+        steps = list(zip(tcode.tolist(), a.tolist(), (a + k).tolist()))
+        preds = [[code[p] for p in self.pred_types[t]] for t in types]
+        succs = [[code[s] for s in types if t in self.pred_types[s]] for t in types]
+        starts = [int(t == self.start) for t in types]
+        ends = [int(t == self.end) for t in types]
+        fwd = _vector_pass(steps, preds, starts, len(types), len(wids))
+        bwd = _vector_pass(steps[::-1], succs, ends, len(types), len(wids))[::-1]
+        fwd, bwd = (np.fromiter(chain.from_iterable(v), dtype, pairs) for v in (fwd, bwd))
+
+        # Window-major: each window's pairs are one segment of ``cuts``.
+        order = np.argsort(pos, kind="stable")
+        cuts = np.concatenate([[0], np.cumsum(per_window)])
+        rel = np.repeat(np.arange(len(idx)), k)[order]
+        event, pair_type = idx[rel], tcode[rel]
+        fwd = fwd[order]
+        weight = fwd * bwd[order]
+        end = pair_type == code[self.end]
+        final = segment_sums(fwd[end], select_cuts(end, cuts))
+        folded = []
+        for spec in self.specs:
+            mask = pair_type == code.get(getattr(spec, "etype", None), -1)
+            col = sub.cols.get(getattr(spec, "attr", None))  # None: a COUNT
+            x = None if col is None else col[event[mask]]
+            folded.append(spec.fold_segments(x, weight[mask], select_cuts(mask, cuts)))
+        return [finalize_slots(self.specs, slots, f) for f, *slots in zip(final, *folded)]
 
     def trace_row(self, etype: str, e_count):
         """Table-6 columns after a matched event: e.count, the updated

@@ -2,25 +2,32 @@
 
 Pipeline (the relational stages in Catalyst, per the paper's executor):
 
-1. **Filter** — local predicates prune the stream (Section 7).
+1. **Filter** — events without a time are dropped, and local predicates
+   prune the stream (Section 7).
 2. **Partition** — groupBy(grouping/equivalence attrs): the paper's
    "non-overlapping sub-streams … processed in parallel independently".
 3. **Kernel** — one ``applyInPandas`` call per group sorts its events by
-   time once into a columnar ``Substream`` and cuts it into one
-   contiguous slice view per covering window (``windows.window_slices``;
-   Li et al.'s window ids, without copying an event into every window
-   that covers it). Cogra under CONT scans the columns; the other kernels
-   read the group's ``Event`` rows, built once and sliced.
-4. **Aggregate** — each (group, wid) slice runs the granularity-selected
-   Cogra aggregator (or a baseline) through ``registry.run_approach`` and
-   becomes one output row (``result_row``): the aggregates plus
-   per-substream metrics (events, peak state bytes, kernel seconds, DNF,
-   overflow, and late events, always 0 in batch). The group's rows leave
-   the kernel as one DataFrame.
+   time once into a columnar ``Substream`` and hands it to
+   ``registry.run_approach_windows``, which gives one ``KernelResult`` per
+   covering window. Each window is a contiguous slice of the group
+   (``windows.window_plan`` and ``window_cuts``: Li et al.'s window ids,
+   without copying an event into every window that covers it). Cogra at
+   the TYPE granularity folds all the windows in one shared pass;
+   otherwise each window's slice runs the granularity-selected Cogra
+   aggregator (or a baseline): under CONT a scan of the columns, else the
+   group's ``Event`` rows, built once and sliced.
+4. **Aggregate** — the group's results become one DataFrame, column by
+   column: the keys and wid, each aggregate rounded to a double
+   (``rounded``), and the per-window metrics (events, peak state bytes,
+   kernel seconds, DNF, trends constructed, overflow, and late events,
+   always 0 in batch). On the shared fold, ``kernel_seconds`` is the
+   group's fold time split evenly among its windows, so the column still
+   sums to the kernel total.
 
 Stages 3 and 4 are ``window_frame``. The streaming runner
 (``core/streaming``) runs the same stages, ``window_frame`` included,
-once per key and micro-batch, into the same result schema.
+once per key and micro-batch, into the same result schema; its per-group
+runner folds each window's slice into that window's carried aggregator.
 
 The kernel is sequential per substream by design: Definition 7 adjacency
 is order-sensitive, so parallelism comes from partitioning, exactly as in
@@ -30,16 +37,16 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.baselines.registry import run_approach
+from repro.baselines.registry import run_approach_windows
 from repro.core.events import Substream
 from repro.core.predicates import _OPS
 from repro.core.query import CompiledQuery, Query
-from repro.core.windows import window_slices
 from repro.harness.metrics import Budget, KernelResult
 
 METRIC_FIELDS = [
@@ -68,11 +75,15 @@ def local_filter_expr(cq: CompiledQuery) -> Column | None:
 
 def prepare_input(df: DataFrame, cq: CompiledQuery) -> DataFrame:
     """Local filter -> column select: the relational stages shared by the
-    batch and the streaming runner."""
+    batch and the streaming runner. An event without a time (null, or a
+    floating-point NaN) lies in no window and has no place in a trend, so
+    it is dropped here."""
     q = cq.query
     flt = local_filter_expr(cq)
-    if flt is not None:
-        df = df.filter(flt)
+    timed = F.col(q.time_col).isNotNull()
+    if isinstance(df.schema[q.time_col].dataType, (T.FloatType, T.DoubleType)):
+        timed &= ~F.isnan(q.time_col)
+    df = df.filter(timed if flt is None else timed & flt)
     keep = [*q.partition_by, q.time_col, q.type_col, *cq.attr_cols]
     return df.select(*dict.fromkeys(keep))  # dedup, keep order
 
@@ -88,53 +99,59 @@ def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
     return T.StructType(fields)
 
 
-def result_row(schema: T.StructType, key: tuple, aggregates: dict, **metrics) -> dict:
-    """One output row of ``schema``: the key columns, each exact aggregate
-    rounded to a double, then the metric columns given by name.
+def rounded(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """An aggregate column's exact values, each rounded to a double, and
+    where one overflowed.
 
     This is the only place results are rounded. An aggregate beyond double
-    range (an ANY count grows as 2^n) becomes null and sets ``overflow``.
+    range (an ANY count grows as 2^n) becomes null (NaN, which the Arrow
+    conversion writes as null) and sets ``overflow``.
     """
-    row = dict(zip(schema.fieldNames(), key))
-    overflow = False
-    for name, v in aggregates.items():
-        try:
-            row[name] = None if v is None else float(v)
-        except OverflowError:
-            row[name], overflow = None, True
-    row.update(metrics, overflow=overflow)
-    return row
+    out = np.full(len(values), np.nan)
+    overflow = np.zeros(len(values), bool)
+    for i, v in enumerate(values):
+        if v is not None:
+            try:
+                out[i] = float(v)
+            except OverflowError:
+                overflow[i] = True
+    return out, overflow
 
 
 def window_frame(
-    schema: T.StructType,
     key: tuple,
     pdf: pd.DataFrame,
     cq: CompiledQuery,
-    run: Callable[[int, Substream], KernelResult],
+    run: Callable[[Substream], list[tuple[int, KernelResult]]],
     late_events: int = 0,
 ) -> pd.DataFrame:
-    """One :func:`result_row` per window of the group's events ``pdf``,
+    """The rows of :func:`result_schema` for the group's events ``pdf``,
     the windowing path of both runners: the events are sorted by time once
-    into a ``Substream``, and ``run(wid, part)`` evaluates each window's
-    slice view ``part`` (``windows.window_slices``)."""
+    into a ``Substream``, ``run(sub)`` gives one ``(wid, KernelResult)``
+    per window, and the frame is built column by column, in the schema's
+    order: the key columns, the rounded aggregates (:func:`rounded`) and
+    the metric columns."""
     q = cq.query
     sub = Substream.from_pandas(pdf, q.time_col, q.type_col, cq.attr_cols)
-    rows = []
-    for wid, s, t in window_slices(sub.time.tolist(), q.window):
-        res = run(wid, sub[s:t])
-        rows.append(result_row(
-            schema,
-            (*key, wid),
-            res.aggregates,
-            events=res.events_processed,
-            peak_state_bytes=res.peak_state_bytes,
-            kernel_seconds=res.kernel_seconds,
-            dnf=res.dnf,
-            trends_constructed=res.trends_constructed,
-            late_events=late_events,
-        ))
-    return pd.DataFrame(rows, columns=schema.fieldNames())
+    runs = run(sub)
+    n = len(runs)
+    results = [r for _, r in runs]
+    cols: dict = dict(zip(q.partition_by, key))  # scalars, broadcast
+    cols["wid"] = np.fromiter((w for w, _ in runs), np.int64, n)
+    overflow = np.zeros(n, bool)
+    for spec in cq.specs:
+        cols[spec.name], over = rounded([r.aggregates[spec.name] for r in results])
+        overflow |= over
+    cols.update(
+        events=np.fromiter((r.events_processed for r in results), np.int64, n),
+        peak_state_bytes=np.fromiter((r.peak_state_bytes for r in results), np.int64, n),
+        kernel_seconds=np.fromiter((r.kernel_seconds for r in results), np.float64, n),
+        dnf=np.fromiter((r.dnf for r in results), bool, n),
+        trends_constructed=np.fromiter((r.trends_constructed for r in results), np.int64, n),
+        overflow=overflow,
+        late_events=late_events,
+    )
+    return pd.DataFrame(cols, index=range(n))
 
 
 def run_query(
@@ -158,11 +175,13 @@ def run_query(
     df = prepare_input(df, cq)
     schema = result_schema(df, cq)
 
-    def run(_wid: int, part: Substream) -> KernelResult:
-        budget = Budget(max_units=budget_units, max_seconds=budget_seconds)
-        return run_approach(approach, part, cq, budget=budget)
+    def budget() -> Budget:
+        return Budget(max_units=budget_units, max_seconds=budget_seconds)
+
+    def run(sub: Substream) -> list[tuple[int, KernelResult]]:
+        return run_approach_windows(approach, sub, cq, new_budget=budget)
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        return window_frame(schema, key, pdf, cq, run)
+        return window_frame(key, pdf, cq, run)
 
     return df.groupBy(*query.partition_by).applyInPandas(kernel, schema=schema)

@@ -5,7 +5,9 @@ select (``prepare_input``), one group per partition key, the group's
 events as one time-ordered ``Substream``, one contiguous slice per
 covering window (``windows.window_slices``), checked by
 ``executor.check_substream`` and folded by ``executor.fold``, and one
-output row per window (``result_row``, batch's result schema). Each
+output row per window (``window_frame``, batch's result schema). Unlike
+batch, every window's slice is folded into that window's carried
+aggregator, including at the TYPE granularity. Each
 micro-batch runs ``applyInPandasWithState`` once per key.
 
 A key's state is one pickle of its open windows' Cogra aggregators
@@ -47,7 +49,7 @@ from repro.core import executor
 from repro.core.events import Substream
 from repro.core.query import Query
 from repro.core.spark_runner import prepare_input, result_schema, window_frame
-from repro.core.windows import window_bounds
+from repro.core.windows import window_bounds, window_slices
 from repro.harness.metrics import KernelResult
 
 
@@ -77,7 +79,7 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
         on_time = pdf[pdf[query.time_col] >= last]
         late += len(pdf) - len(on_time)
 
-        def run(wid: int, part: Substream) -> KernelResult:
+        def fold_into(wid: int, part: Substream) -> KernelResult:
             if wid not in aggs:
                 aggs[wid] = executor.make_aggregator(cq)
             executor.check_substream(cq, part)
@@ -86,7 +88,11 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
             res.kernel_seconds = time.perf_counter() - t0
             return res
 
-        rows = window_frame(schema, key, on_time, cq, run, late)
+        def run(sub: Substream) -> list[tuple[int, KernelResult]]:
+            return [(w, fold_into(w, sub[s:t]))
+                    for w, s, t in window_slices(sub.time, window)]
+
+        rows = window_frame(key, on_time, cq, run, late)
         last = max(last, pdf[query.time_col].max())
         if window is not None:
             aggs = {w: a for w, a in aggs.items() if window_bounds(window, w)[1] > last}

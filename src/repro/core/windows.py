@@ -3,17 +3,19 @@
 WITHIN ``size`` SLIDE ``slide`` partitions the unbounded stream into
 overlapping windows; window ``k`` spans ``[k*slide, k*slide + size)``.
 An event at time ``t`` falls into ``size/slide`` consecutive windows
-[Li et al., SIGMOD'05]. The batch and the streaming runner both cut each
-group's time-ordered events into one contiguous slice per window
-(``window_slices``) instead of copying an event into every window that
-covers it. ``with_window_ids`` still does that copy, one row per (event,
-window id *wid*), for the benchmark's fan-out count only.
+[Li et al., SIGMOD'05]. ``window_plan`` is the one wid arithmetic of the
+runners: each event's window bounds as int64 arrays. From it,
+``window_cuts`` gives every covering window of a group's time-ordered
+events as one contiguous slice, instead of copying an event into every
+window that covers it, and the shared window fold of Algorithm 1 places
+each event in its windows. ``with_window_ids`` still does that copy, one
+row per (event, window id *wid*), for the benchmark's fan-out count only.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -51,34 +53,51 @@ def with_window_ids(
     return df.withColumn("wid", F.explode(wid_sequence_expr(window, time_col)))
 
 
+def window_plan(time, window: WindowSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` as int64 arrays: event ``i`` at ``time[i]`` lies in
+    windows ``lo[i] .. hi[i]``, the bounds of :meth:`WindowSpec.wids_for`
+    with the same float arithmetic; in none when ``hi[i] < lo[i]`` (a
+    negative time). With no window clause every event is in window 0."""
+    t = np.asarray(time)
+    if window is None:
+        zero = np.zeros(len(t), np.int64)
+        return zero, zero
+    if t.dtype == object:
+        t = t.astype(np.float64)
+    lo = np.maximum(0, np.floor((t - window.size) / window.slide) + 1)
+    hi = np.floor(t / window.slide)
+    if not (np.abs(hi) < 2.0**62).all():  # NaN, ±inf, or beyond int64
+        raise ValueError("an event time is not finite or its window id exceeds int64")
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def window_cuts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(wids, s, t)`` for the ascending ``window_plan`` of time-ordered
+    events: every window that covers an event, in wid order, and its
+    events, the contiguous slice ``[s, t)``.
+
+    Both bounds ascend with time, so window ``k`` holds the events with
+    ``hi_i >= k`` (a suffix) and ``lo_i <= k`` (a prefix). Event ``i``
+    opens the windows ``max(lo_i, hi_{i-1} + 1) .. hi_i``, so a gap in
+    time costs nothing.
+    """
+    first = lo.copy()
+    first[1:] = np.maximum(lo[1:], hi[:-1] + 1)
+    new = np.maximum(hi - first + 1, 0)
+    ends = np.cumsum(new)
+    wids = np.repeat(first - ends + new, new) + np.arange(ends[-1] if len(ends) else 0)
+    return wids, np.searchsorted(hi, wids, "left"), np.searchsorted(lo, wids, "right")
+
+
 def window_slices(
     times: Sequence[float], window: WindowSpec | None
 ) -> Iterator[tuple[int, int, int]]:
     """``(wid, s, t)`` for every window that covers one of the ascending
-    ``times``: its events are the contiguous slice ``[s, t)``.
-
-    Event ``i`` lies in windows ``lo_i .. hi_i`` (:meth:`WindowSpec.wids_for`);
-    both bounds ascend with time, so window ``k`` holds the events with
-    ``hi_i >= k`` (a suffix) and ``lo_i <= k`` (a prefix). Windows are
-    yielded in wid order, and an empty one jumps ``k`` to the next event's
-    first window, so a gap in time costs nothing. With no window clause
-    the whole input is window 0.
-    """
-    if window is None:
-        if times:
-            yield 0, 0, len(times)
-        return
-    spans = [window.wids_for(t) for t in times]
-    lo = [r.start for r in spans]
-    hi = [r.stop - 1 for r in spans]
-    k, last = (lo[0], hi[-1]) if spans else (0, -1)
-    while k <= last:
-        s, t = bisect_left(hi, k), bisect_right(lo, k)
-        if s < t:
-            yield k, s, t
-            k += 1
-        else:
-            k = lo[s]
+    ``times``: its events are the contiguous slice ``[s, t)``
+    (:func:`window_cuts`). With no window clause the whole input is
+    window 0."""
+    wids, s, t = window_cuts(*window_plan(times, window))
+    return zip(wids.tolist(), s.tolist(), t.tolist())
 
 
 def window_bounds(window: WindowSpec, wid: int) -> tuple[int, int]:

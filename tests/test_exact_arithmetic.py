@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import types as T
 
 from repro.baselines.bruteforce import aggregate_bruteforce
 from repro.baselines.registry import APPROACHES, run_approach, supports
@@ -17,7 +16,7 @@ from repro.core.events import Event
 from repro.core.executor import aggregate_substream
 from repro.core.granularity import Semantics
 from repro.core.query import Query
-from repro.core.spark_runner import result_row, run_query
+from repro.core.spark_runner import rounded, run_query
 
 N = 5_000
 A_PLUS_ANY = Query(
@@ -125,14 +124,12 @@ def test_domain_checked_where_no_trend_reaches(spec, bad, semantics):
             run_approach(name, events, cq)
 
 
-def test_result_row_rounds_once_and_flags_overflow():
-    schema = T.StructType([
-        T.StructField("grp", T.LongType()),
-        T.StructField("count_star", T.DoubleType()),
-        T.StructField("sum_A_v", T.DoubleType()),
-        T.StructField("overflow", T.BooleanType()),
-    ])
-    big = result_row(schema, (0,), {"count_star": 2**1024, "sum_A_v": Fraction(1, 3)})
-    assert big == {"grp": 0, "count_star": None, "sum_A_v": 1 / 3, "overflow": True}
-    small = result_row(schema, (1,), {"count_star": 2**1023, "sum_A_v": None})
-    assert small == {"grp": 1, "count_star": 2.0**1023, "sum_A_v": None, "overflow": False}
+def test_rounded_rounds_once_and_flags_overflow():
+    """The result frame's one rounding step: a value beyond double range
+    becomes null and sets the row's ``overflow`` flag."""
+    counts, over = rounded([2**1024, 2**1023])
+    assert np.isnan(counts[0]) and counts[1] == 2.0**1023
+    assert over.tolist() == [True, False]
+    sums, over = rounded([Fraction(1, 3), None])
+    assert sums[0] == 1 / 3 and np.isnan(sums[1])
+    assert over.tolist() == [False, False]

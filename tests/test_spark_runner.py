@@ -339,3 +339,24 @@ def test_metric_columns_keep_their_per_substream_meaning(spark):
     assert point.count_checksum == expected.count_star.sum()
     assert point.total_events == relevant.want.sum()
     assert point.latency_ms > 0
+
+
+@pytest.mark.parametrize("missing", [None, math.nan], ids=["null", "nan"])
+@pytest.mark.parametrize("window", [WindowSpec(size=40, slide=20), None],
+                         ids=["window", "no-window"])
+def test_events_without_time_are_dropped(spark, stream_pdf, missing, window):
+    """A null (or NaN) time lies in no window: the event is dropped before
+    the kernel, in both runners, instead of failing the windowed job."""
+    from pyspark.sql import functions as F
+
+    q = Query(pattern="(SEQ(A+, B))+", semantics=Semantics.ANY, aggregates=AGGS,
+              partition_by=("grp",), window=window)
+    pdf = stream_pdf.astype({"time": "float64"})
+    holes = pdf.time % 7 == 0
+    df = spark.createDataFrame(pdf).withColumn(
+        "time", F.when(F.col("time") % 7 == 0, F.lit(missing)).otherwise(F.col("time")))
+    assert df.filter(F.col("time").isNull() | F.isnan("time")).count() == holes.sum()
+    out = run_query(df, q).toPandas()
+    want = run_query(spark.createDataFrame(pdf[~holes]), q).toPandas()
+    assert out.events.sum() == want.events.sum() > 0
+    _cmp(out, want[["grp", "wid", *(s.name for s in AGGS), "events"]], ["grp", "wid"])

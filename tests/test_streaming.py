@@ -278,6 +278,18 @@ def test_streaming_drops_and_counts_late_events(spark, tmp_path):
     assert (stream_res[stream_res.wid <= 3].late_events == 0).all()
 
 
+def test_streaming_drops_events_without_time(spark, tmp_path):
+    """An event with a null time is dropped before the fold, as in batch:
+    it is not a late event, and the rows equal batch's without it."""
+    pdf = _stream_pdf().astype({"time": "float64"})
+    holes = pdf.time % 9 == 0
+    pdf.loc[holes, "time"] = np.nan  # written as null
+    stream_res = _run_streaming(spark, tmp_path, pdf, WINDOWED)
+    assert (stream_res.late_events == 0).all()
+    _assert_equals_batch(spark, stream_res, pdf[~holes], WINDOWED,
+                         ["count_star", "avg_A_v", "events"])
+
+
 def test_streaming_schema_is_the_batch_schema(spark, tmp_path):
     schema = spark.createDataFrame(_stream_pdf(n=1)).schema
     (tmp_path / "src").mkdir()

@@ -1,10 +1,12 @@
 """WindowSpec arithmetic and Query compilation plumbing (Section 7)."""
+import numpy as np
 import pytest
 
 from repro.core.aggregates import Avg, Count, Min
 from repro.core.granularity import Semantics
 from repro.core.predicates import AdjacentPredicate, LocalPredicate
 from repro.core.query import Query, WindowSpec
+from repro.core.windows import window_plan
 
 
 class TestWindowSpec:
@@ -50,6 +52,28 @@ class TestWindowSpec:
             for k in range(0, 20):
                 in_window = k * 4 <= t < k * 4 + 12
                 assert (k in wids) == in_window, (t, k)
+
+    @pytest.mark.parametrize("w", [WindowSpec(10, 5), WindowSpec(12, 4),
+                                   WindowSpec(25, 25), WindowSpec(600, 30)], ids=str)
+    def test_window_plan_equals_wids_for(self, w):
+        """The vector bounds equal ``wids_for`` on int, float, negative and
+        window-boundary times (``hi < lo``: in no window)."""
+        g = np.random.default_rng(w.size)
+        edges = np.arange(-3, 40) * w.slide
+        ints = np.sort(np.concatenate([edges, edges - 1, edges + 1,
+                                       g.integers(-2 * w.size, 50 * w.size, 200)]))
+        floats = np.sort(np.concatenate([edges - 0.25, edges + 0.5, edges * 1.0,
+                                         g.uniform(-2 * w.size, 50 * w.size, 200)]))
+        for times in (ints, floats, ints.astype(object)):
+            lo, hi = window_plan(times, w)
+            assert lo.dtype == hi.dtype == np.int64
+            for t, a, b in zip(times.tolist(), lo.tolist(), hi.tolist()):
+                assert range(a, b + 1) == w.wids_for(t), t
+        assert (window_plan(ints, None)[0] == 0).all()
+        assert (window_plan(ints, None)[1] == 0).all()
+        for bad in (np.nan, np.inf, 1e30):
+            with pytest.raises(ValueError, match="window id"):
+                window_plan(np.array([0.0, bad]), w)
 
 
 class TestQueryCompile:
