@@ -3,38 +3,41 @@ import sys
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """Heap of the Spark driver JVM: the tier-1 command's rule, half of
+    ``MemTotal`` in whole GiB clamped to 2-8 g (2 g if it cannot be read),
+    capped at ~75% of a real cgroup memory limit.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > this rule.
+    spark.driver.memory is read at JVM launch, not from SparkConf, so it
+    must be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere —
+    this runs at conftest import, which pytest loads before any test
+    module.
 
-    The cgroup read is best-effort: the sandbox runs under gVisor, whose
-    sysfs emulation may not pass the host limit through. An unbounded
-    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    An unbounded cgroup value (cgroup-v1's ~9.2e18 "unlimited" sentinel,
+    v2's "max", or a missing file) sets no cap, so the JVM is never handed
+    a heap larger than the machine.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
+    gib, src = 2, "default"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+        gib, src = min(8, max(2, kib // 2097152)), "meminfo"
+    except (OSError, ValueError, StopIteration):
+        pass
     for p in (
         "/sys/fs/cgroup/memory.max",
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
+            limit = int(open(p).read().strip()) / (1 << 30)
+        except (OSError, ValueError):  # missing, or v2's "max"
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+        if 1 <= limit <= 1024 and int(limit * 0.75) < gib:  # v1 "unlimited": ~8.6e9
+            gib, src = max(1, int(limit * 0.75)), f"cgroup:{p}"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = src
+    return f"{gib}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

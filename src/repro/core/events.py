@@ -72,6 +72,16 @@ def _infer(values: list) -> np.ndarray:
     return _object_column(values)
 
 
+def _stable_order(t: np.ndarray) -> np.ndarray:
+    """Positions of ``t``'s values in a stable ascending sort, missing
+    values last (NumPy already sorts NaN last in a float column)."""
+    if t.dtype != object:
+        return np.argsort(t, kind="stable")
+    na = pd.isna(t)
+    keep = np.flatnonzero(~na)
+    return np.concatenate([keep[np.argsort(t[keep], kind="stable")], np.flatnonzero(na)])
+
+
 class Substream:
     """A time-ordered substream as columns; ``sub[s:t]`` is a view."""
 
@@ -97,18 +107,30 @@ class Substream:
         type_col: str = "etype",
         attr_cols: tuple[str, ...] = (),
     ) -> "Substream":
-        """Sort ``pdf`` by time once and keep the given columns.
+        """The substream of ``pdf``'s rows in time order: the time, type
+        and ``attr_cols`` columns, each gathered once through one stable
+        argsort of the time column. Other columns of ``pdf`` (the group
+        keys, columns no kernel reads) are not copied, and a frame already
+        in time order is not gathered at all.
 
-        The sort is stable, so events of one timestamp keep their order in
-        ``pdf``. After a Spark shuffle that order is not fixed, so a kernel
-        whose result depends on it (one without the paper's Section-8
-        stream transactions) may differ between runs; see ROADMAP item 1.
+        The order is ``pdf.sort_values(time_col, kind="stable")``'s:
+        events of one timestamp keep their order in ``pdf``, and missing
+        times come last. After a Spark shuffle that order is not fixed, so
+        a kernel whose result depends on it (one without the paper's
+        Section-8 stream transactions) may differ between runs; see
+        ROADMAP item 1.
         """
-        pdf = pdf.sort_values(time_col, kind="stable")
+        ts = pdf[time_col]
+        time = _column(ts)
+        order = None if ts.is_monotonic_increasing else _stable_order(time)
+
+        def take(a: np.ndarray) -> np.ndarray:
+            return a if order is None else a[order]
+
         return cls(
-            _column(pdf[time_col]),
-            _column(pdf[type_col]),
-            {c: _column(pdf[c]) for c in attr_cols},
+            take(time),
+            take(_column(pdf[type_col])),
+            {c: take(_column(pdf[c])) for c in attr_cols},
         )
 
     @classmethod

@@ -30,8 +30,12 @@ whole chunk of columns as a segmented prefix sum (Blelloch 1990):
 The chunk carries (e_l's type and attributes, e_l.count, e_l's slots, the
 final count and slots) in and out, so streaming micro-batches, window
 slices and single events compose: ``update`` under CONT is the same scan
-over one event. Under NEXT, e_l is the last *matched* event, which is not
-a first-order scan, so NEXT keeps the row loop.
+over one event. ``scan`` itself cuts its input into chunks of ``CHUNK``
+events and folds them through that carry, so its working set (about 25
+arrays and two Python-int lists per chunk) is O(CHUNK), not O(n).
+
+Under NEXT, e_l is the last *matched* event, which is not a first-order
+scan, so NEXT keeps the row loop.
 """
 from __future__ import annotations
 
@@ -47,6 +51,10 @@ from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
 # Counts and weights of a chunk are int64 while a bound on their sums,
 # computed before the scan, stays below this; beyond it, Python ints.
 INT64_LIMIT = 2**63
+
+# ``scan`` folds its input in positional chunks of this many events through
+# the carry, so its working set is O(CHUNK) whatever the substream's length.
+CHUNK = 4096
 
 
 def count_dtype(n: int, longest: int, carry: int):
@@ -124,8 +132,13 @@ class PatternGrainedAggregator:
         return None  # unmatched: skipped under NEXT
 
     def scan(self, sub: Substream) -> None:
-        """Lines 2-9 under CONT over a chunk of time-ordered events, as one
-        segmented scan of its columns (module docstring)."""
+        """Lines 2-9 under CONT over time-ordered events, one chunk of at
+        most ``CHUNK`` events at a time (module docstring)."""
+        for s in range(0, len(sub), CHUNK):
+            self._scan_chunk(sub[s : s + CHUNK])
+
+    def _scan_chunk(self, sub: Substream) -> None:
+        """One chunk as one segmented scan of its columns."""
         n = len(sub)
         if not n:
             return

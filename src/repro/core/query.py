@@ -9,6 +9,8 @@ and granularity selection.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from repro.core.aggregates import AggSpec, Count
@@ -40,12 +42,14 @@ class WindowSpec:
 
     def wids_for(self, t: float) -> range:
         """Window ids covering time ``t``; window ``k`` spans
-        ``[k*slide, k*slide + size)`` with ``k >= 0``."""
-        import math
-
-        lo = max(0, math.floor((t - self.size) / self.slide) + 1)
-        hi = math.floor(t / self.slide)
-        return range(lo, hi + 1)
+        ``[k*slide, k*slide + size)`` with ``k >= 0``. An int ``t`` is
+        divided exactly (a nanosecond time is beyond 2**53), a float one in
+        float arithmetic."""
+        if isinstance(t, numbers.Integral):
+            lo, hi = (int(t) - self.size) // self.slide, int(t) // self.slide
+        else:
+            lo, hi = math.floor((t - self.size) / self.slide), math.floor(t / self.slide)
+        return range(max(0, lo + 1), hi + 1)
 
 
 @dataclass(frozen=True)

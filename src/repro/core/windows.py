@@ -13,29 +13,41 @@ row per (event, window id *wid*), for the benchmark's fan-out count only.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Iterator, Sequence
 
 import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.query import WindowSpec
 
 
-def wid_sequence_expr(window: WindowSpec, time_col: str) -> Column:
+def wid_sequence_expr(window: WindowSpec, time_col: str, integral: bool) -> Column:
     """Array column of the window ids covering ``time_col``.
 
     wid range: max(0, floor((t - size)/slide) + 1) .. floor(t/slide),
-    matching :meth:`repro.core.query.WindowSpec.wids_for`; empty when the
-    upper end is below the lower one (a negative time), where Spark's
-    ``sequence`` would count down.
+    matching :meth:`repro.core.query.WindowSpec.wids_for`: exact integer
+    floor division if the column is ``integral``, double arithmetic
+    otherwise. Empty when the upper end is below the lower one (a negative
+    time), where Spark's ``sequence`` would count down.
     """
-    t = F.col(time_col)
-    lo = F.greatest(
-        F.lit(0),
-        (F.floor((t - F.lit(window.size)) / F.lit(window.slide)) + F.lit(1)),
-    )
-    hi = F.floor(t / F.lit(window.slide))
+    if integral:
+        t, slide = "`" + time_col.replace("`", "``") + "`", window.slide
+
+        def floor_div(x: str) -> Column:
+            # x - pmod(x, slide) is a multiple of slide, so ``div`` is exact.
+            return F.expr(f"(({x}) - pmod({x}, {slide})) div {slide}")
+
+        lo = floor_div(f"{t} - {window.size}") + F.lit(1)
+        hi = floor_div(t)
+    else:
+        t = F.col(time_col)
+        lo = F.floor((t - F.lit(window.size)) / F.lit(window.slide)) + F.lit(1)
+        hi = F.floor(t / F.lit(window.slide))
+    lo = F.greatest(F.lit(0), lo)
     return F.when(hi >= lo, F.sequence(lo.cast("long"), hi.cast("long"))).otherwise(
         F.array().cast("array<long>")
     )
@@ -50,25 +62,41 @@ def with_window_ids(
     """
     if window is None:
         return df.withColumn("wid", F.lit(0).cast("long"))
-    return df.withColumn("wid", F.explode(wid_sequence_expr(window, time_col)))
+    integral = isinstance(df.schema[time_col].dataType, T.IntegralType)
+    return df.withColumn("wid", F.explode(wid_sequence_expr(window, time_col, integral)))
+
+
+def _wid_floor(x: np.ndarray, slide: int) -> np.ndarray:
+    """floor(x / slide) as int64: exact integer floor division of an int,
+    float arithmetic for a float, element by element in an object column,
+    as :meth:`WindowSpec.wids_for` divides."""
+    if x.dtype.kind == "i":
+        q = x // slide
+    elif x.dtype == object:
+        q = np.array([v // slide if isinstance(v, numbers.Integral)
+                      else math.floor(v / slide) if math.isfinite(v) else math.inf
+                      for v in x.tolist()], dtype=object)
+    else:
+        q = np.floor(x / slide)
+    if not (np.abs(q) < 2**62).all():  # NaN, ±inf, or beyond int64
+        raise ValueError("an event time is not finite or its window id exceeds int64")
+    return q.astype(np.int64)
 
 
 def window_plan(time, window: WindowSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)`` as int64 arrays: event ``i`` at ``time[i]`` lies in
     windows ``lo[i] .. hi[i]``, the bounds of :meth:`WindowSpec.wids_for`
-    with the same float arithmetic; in none when ``hi[i] < lo[i]`` (a
-    negative time). With no window clause every event is in window 0."""
+    with the same arithmetic (:func:`_wid_floor`); in none when
+    ``hi[i] < lo[i]`` (a negative time). With no window clause every event
+    is in window 0."""
     t = np.asarray(time)
     if window is None:
         zero = np.zeros(len(t), np.int64)
         return zero, zero
-    if t.dtype == object:
-        t = t.astype(np.float64)
-    lo = np.maximum(0, np.floor((t - window.size) / window.slide) + 1)
-    hi = np.floor(t / window.slide)
-    if not (np.abs(hi) < 2.0**62).all():  # NaN, ±inf, or beyond int64
-        raise ValueError("an event time is not finite or its window id exceeds int64")
-    return lo.astype(np.int64), hi.astype(np.int64)
+    if t.dtype.kind == "u":  # t - size must not wrap
+        t = t.astype(object)
+    lo = np.maximum(0, _wid_floor(t - window.size, window.slide) + 1)
+    return lo, _wid_floor(t, window.slide)
 
 
 def window_cuts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ pandas, so int64, float64 and object columns are all exercised.
 """
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pandas as pd
@@ -164,6 +165,44 @@ def test_chunks_compose_at_every_cut(pattern, preds):
             assert scan(pdf, cq, [k]) == whole, k
         cuts = sorted(rng.sample(range(1, len(pdf)), 6))
         assert scan(pdf, cq, cuts) == whole
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_scan_chunks_equal_the_one_chunk_scan(monkeypatch, pattern, chunk):
+    """``scan`` cuts its input into chunks of ``CHUNK`` events; whatever
+    the length, the carry composes them into the one-chunk result."""
+    cq = cq_of(pattern, PRED_SETS["offset"])
+    for seed in range(4):
+        pdf = frame(*mkstream(40, seed, "quarter"))
+        monkeypatch.setattr(pattern_grained, "CHUNK", 10**9)
+        whole = scan(pdf, cq)
+        monkeypatch.setattr(pattern_grained, "CHUNK", chunk)
+        assert scan(pdf, cq) == scan(pdf, cq, [5, 11]) == whole
+
+
+def test_fold_memory_is_bounded_by_the_chunk(monkeypatch):
+    """The traced peak of folding a CONT substream does not grow with its
+    length: at 100k events it stays within 1.5x the peak at 10k (a
+    one-chunk scan holds ~25 n-length arrays, and grows ~10x), and the
+    aggregates equal the one-chunk scan's."""
+    cq = cq_of("SEQ(A+, B)", PRED_SETS["self"], (Count(), Sum("A", "v"), Avg("A", "v")))
+    peaks, results = {}, {}
+    for n in (10_000, 100_000):
+        rng = np.random.default_rng(n)
+        sub = Substream.from_pandas(pd.DataFrame({
+            "time": np.arange(n), "etype": rng.choice(["A", "A", "A", "B", "Z"], n),
+            "v": rng.uniform(0, 100, n)}), attr_cols=cq.attr_cols)
+        tracemalloc.start()
+        try:
+            results[n] = fold(make_aggregator(cq), sub).result()
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with monkeypatch.context() as m:
+            m.setattr(pattern_grained, "CHUNK", n)
+            assert fold(make_aggregator(cq), sub).result() == results[n]
+    assert peaks[100_000] <= 1.5 * peaks[10_000], peaks
 
 
 def test_ints_beyond_2_53_compare_exactly():

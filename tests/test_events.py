@@ -1,9 +1,10 @@
 """Event materialization from pandas partitions."""
 import numpy as np
 import pandas as pd
+import pytest
 
 from repro.core.aggregates import Avg, Sum
-from repro.core.events import Event, events_from_pandas
+from repro.core.events import Event, Substream, events_from_pandas
 from repro.core.executor import aggregate_substream
 from repro.core.granularity import Semantics
 from repro.core.query import Query
@@ -52,3 +53,51 @@ def test_integer_attributes_do_not_wrap_in_exact_mode():
     res = aggregate_substream(events_from_pandas(pdf, attr_cols=("v",)), cq)
     assert res.aggregates["sum_A_v"] == n * 2 ** (n - 1)
     assert res.aggregates["avg_A_v"] == 1.0
+
+
+TIME_KINDS = {
+    "int": lambda b: b,
+    "float": lambda b: b / 4,
+    "float-nan": lambda b: np.where(b % 9 == 0, np.nan, b / 4),
+    "beyond-int64": lambda b: np.array([2**64 + int(x) for x in b], dtype=object),
+    "object-mixed": lambda b: np.array([int(x) if x % 2 else x / 2 for x in b], dtype=object),
+    "object-none": lambda b: np.array([None if x % 9 == 0 else 2**64 + int(x) for x in b],
+                                      dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", list(TIME_KINDS))
+def test_from_pandas_is_the_stable_sort(kind):
+    """``Substream.from_pandas`` gathers the columns in the order of the
+    stable pandas sort it replaces: ties keep their order in the frame,
+    missing times come last, and the values and dtypes are unchanged."""
+    g = np.random.default_rng(5)
+    n = 400
+    pdf = pd.DataFrame({
+        "key": g.integers(0, 3, n),
+        "time": TIME_KINDS[kind](g.integers(0, 40, n)),  # about 10 events a time
+        "etype": g.choice(list("ABC"), n),
+        "v": g.uniform(0, 1, n),
+        "w": np.array([2**70 + i for i in range(n)], dtype=object),
+        "skip": g.integers(0, 9, n),
+    }).sample(frac=1, random_state=6)
+    sub = Substream.from_pandas(pdf, attr_cols=("v", "w"))
+    want = pdf.sort_values("time", kind="stable")
+    assert list(sub.cols) == ["v", "w"]
+    time_dtype = {"int": np.int64, "float": np.float64, "float-nan": np.float64}
+    for got, col, dtype in [(sub.time, "time", time_dtype.get(kind, object)),
+                            (sub.etype, "etype", object), (sub.cols["v"], "v", np.float64),
+                            (sub.cols["w"], "w", object)]:
+        assert got.dtype == dtype, col
+        assert pd.Series(got.tolist(), dtype=object).equals(
+            pd.Series(want[col].tolist(), dtype=object)), col
+
+
+def test_from_pandas_keeps_a_sorted_frame_in_place():
+    """A frame already in time order is not copied."""
+    pdf = pd.DataFrame({"time": [1, 1, 2, 5], "etype": ["A", "B", "A", "B"],
+                        "v": [0.5, 1.5, 2.5, 3.5]})
+    sub = Substream.from_pandas(pdf, attr_cols=("v",))
+    assert np.shares_memory(sub.time, pdf["time"].to_numpy())
+    assert np.shares_memory(sub.cols["v"], pdf["v"].to_numpy())
+    assert sub.etype.tolist() == ["A", "B", "A", "B"]

@@ -313,6 +313,26 @@ def test_sparse_times_jump_empty_windows(spark):
     _cmp(out, local_expected(pdf, q), ["grp", "wid"])
 
 
+def test_ns_times_get_exact_windows(spark):
+    """Nanosecond times are beyond 2**53: the event at a window boundary's
+    t - 1 lies in the 20 windows ending with the one before t's, not one
+    further (what float division gives), and each window holds exactly
+    the events its span contains."""
+    w = WindowSpec(size=600_000_000_000, slide=30_000_000_000)
+    edge = 56_666_667 * w.slide
+    times = [edge - w.size - 1, edge - w.size, edge - 1, edge, edge + 1]
+    pdf = pd.DataFrame({"time": times, "grp": 0, "etype": ["A", "A", "B", "A", "B"],
+                        "v": [1.0, 2.0, 3.0, 4.0, 5.0]})
+    q = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY,
+              aggregates=(Count(), Sum("B", "v")), partition_by=("grp",), window=w)
+    out = run_query(spark.createDataFrame(pdf), q).toPandas()
+    events = {int(r.wid): r.events for r in out.itertuples()}
+    want = {k: sum(k * w.slide <= t < k * w.slide + w.size for t in times)
+            for k in range(56_666_600, 56_666_700)}
+    assert events == {k: n for k, n in want.items() if n}
+    _cmp(out, local_expected(pdf, q), ["grp", "wid"])
+
+
 def test_metric_columns_keep_their_per_substream_meaning(spark):
     w = WindowSpec(size=40, slide=10)
     pdf = _sparse_pdf(12, 3, w.slide)

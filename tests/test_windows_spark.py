@@ -67,3 +67,19 @@ def test_negative_time_gets_no_wid(spark):
     rows = with_window_ids(spark.createDataFrame(pdf), w, "time").collect()
     assert sorted((r.time, r.wid) for r in rows) == [(3, 0)]
     assert [list(w.wids_for(t)) for t in pdf.time] == [[], [0], []]
+
+
+def test_ns_times_get_exact_wids(spark):
+    """A long time column is divided exactly in Catalyst too: at the
+    boundary t = 56,666,667 * slide - 1 of nanosecond windows (beyond
+    2**53) the wids are 56,666,647..56,666,666, as ``wids_for`` gives."""
+    w = WindowSpec(size=600_000_000_000, slide=30_000_000_000)
+    edge = 56_666_667 * w.slide
+    pdf = pd.DataFrame({"time": [edge - 1, edge, edge + 1, w.slide - 1, -1]})
+    rows = with_window_ids(spark.createDataFrame(pdf), w, "time").collect()
+    got: dict[int, list[int]] = {}
+    for r in rows:
+        got.setdefault(r.time, []).append(r.wid)
+    assert got[edge - 1] == list(range(56_666_647, 56_666_667))
+    assert {t: sorted(v) for t, v in got.items()} == {
+        t: list(w.wids_for(t)) for t in pdf.time.tolist() if len(w.wids_for(t))}

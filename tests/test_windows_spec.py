@@ -1,4 +1,6 @@
 """WindowSpec arithmetic and Query compilation plumbing (Section 7)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,36 @@ class TestWindowSpec:
         for bad in (np.nan, np.inf, 1e30):
             with pytest.raises(ValueError, match="window id"):
                 window_plan(np.array([0.0, bad]), w)
+
+    def test_ns_times_divide_exactly(self):
+        """Nanosecond times are beyond 2**53, where float division rounds
+        t / slide up to the next window at a boundary's t - 1. Ints are
+        divided exactly: ``wids_for`` and ``window_plan`` (int64, uint64
+        and object columns, and object ints beyond int64) give the windows
+        [k*slide, k*slide + size) that contain t, at every boundary ±1."""
+        w = WindowSpec(size=600_000_000_000, slide=30_000_000_000)
+        t = 56_666_667 * w.slide - 1
+        assert w.wids_for(t) == range(56_666_647, 56_666_667)
+        assert math.floor(t / w.slide) == 56_666_667  # what floats give
+        ks = (1, 20, 56_666_667, 2**53 // w.slide + 7, 2**63 // w.slide - 1)
+        times = [k * w.slide + d for k in ks for d in (-1, 0, 1)]
+        for t in times:
+            assert w.wids_for(t) == containing(w, t), t
+        big = [2**64 + k * w.slide + d for k in (0, 3) for d in (-1, 0, 1)]
+        columns = (np.array(times, np.int64), np.array(times, np.uint64),
+                   np.array(times, object), np.array(big, object))
+        for col in columns:
+            lo, hi = window_plan(col, w)
+            got = [range(a, b + 1) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert got == [containing(w, int(t)) for t in col.tolist()]
+
+
+def containing(w: WindowSpec, t: int) -> range:
+    """The windows that contain the int ``t``, from their definition."""
+    k = t // w.slide  # a candidate near the top; checked, not trusted
+    ids = [j for j in range(k - w.size // w.slide - 2, k + 3)
+           if j >= 0 and j * w.slide <= t < j * w.slide + w.size]
+    return range(ids[0], ids[-1] + 1) if ids else range(0)
 
 
 class TestQueryCompile:
