@@ -72,16 +72,6 @@ def _infer(values: list) -> np.ndarray:
     return _object_column(values)
 
 
-def _stable_order(t: np.ndarray) -> np.ndarray:
-    """Positions of ``t``'s values in a stable ascending sort, missing
-    values last (NumPy already sorts NaN last in a float column)."""
-    if t.dtype != object:
-        return np.argsort(t, kind="stable")
-    na = pd.isna(t)
-    keep = np.flatnonzero(~na)
-    return np.concatenate([keep[np.argsort(t[keep], kind="stable")], np.flatnonzero(na)])
-
-
 class Substream:
     """A time-ordered substream as columns; ``sub[s:t]`` is a view."""
 
@@ -108,10 +98,9 @@ class Substream:
         attr_cols: tuple[str, ...] = (),
     ) -> "Substream":
         """The substream of ``pdf``'s rows in time order: the time, type
-        and ``attr_cols`` columns, each gathered once through one stable
-        argsort of the time column. Other columns of ``pdf`` (the group
-        keys, columns no kernel reads) are not copied, and a frame already
-        in time order is not gathered at all.
+        and ``attr_cols`` columns, each gathered once in the order of one
+        stable sort of the time column alone. Other columns of ``pdf``
+        (the group keys, columns no kernel reads) are not copied.
 
         The order is ``pdf.sort_values(time_col, kind="stable")``'s:
         events of one timestamp keep their order in ``pdf``, and missing
@@ -120,17 +109,12 @@ class Substream:
         Section-8 stream transactions) may differ between runs; see
         ROADMAP item 1.
         """
-        ts = pdf[time_col]
-        time = _column(ts)
-        order = None if ts.is_monotonic_increasing else _stable_order(time)
-
-        def take(a: np.ndarray) -> np.ndarray:
-            return a if order is None else a[order]
-
+        ts = pdf[time_col].reset_index(drop=True)
+        order = ts.sort_values(kind="stable").index.to_numpy()
         return cls(
-            take(time),
-            take(_column(pdf[type_col])),
-            {c: take(_column(pdf[c])) for c in attr_cols},
+            _column(ts)[order],
+            _column(pdf[type_col])[order],
+            {c: _column(pdf[c])[order] for c in attr_cols},
         )
 
     @classmethod

@@ -45,11 +45,17 @@ class WindowSpec:
         ``[k*slide, k*slide + size)`` with ``k >= 0``. An int ``t`` is
         divided exactly (a nanosecond time is beyond 2**53), a float one in
         float arithmetic."""
-        if isinstance(t, numbers.Integral):
-            lo, hi = (int(t) - self.size) // self.slide, int(t) // self.slide
-        else:
-            lo, hi = math.floor((t - self.size) / self.slide), math.floor(t / self.slide)
+        lo, hi = floor_div(t - self.size, self.slide), floor_div(t, self.slide)
         return range(max(0, lo + 1), hi + 1)
+
+
+def floor_div(t, slide: int) -> int:
+    """floor(t / slide), the one rounding rule of window ids: exact integer
+    floor division of an int ``t`` (a nanosecond time is beyond 2**53),
+    float arithmetic otherwise."""
+    if isinstance(t, numbers.Integral):
+        return int(t) // slide
+    return math.floor(t / slide)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ row per (event, window id *wid*), for the benchmark's fan-out count only.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,7 +20,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.query import WindowSpec
+from repro.core.query import WindowSpec, floor_div
 
 
 def wid_sequence_expr(window: WindowSpec, time_col: str, integral: bool) -> Column:
@@ -66,20 +64,24 @@ def with_window_ids(
     return df.withColumn("wid", F.explode(wid_sequence_expr(window, time_col, integral)))
 
 
+_UNBOUNDED = "an event time is not finite or its window id exceeds int64"
+
+
 def _wid_floor(x: np.ndarray, slide: int) -> np.ndarray:
-    """floor(x / slide) as int64: exact integer floor division of an int,
-    float arithmetic for a float, element by element in an object column,
-    as :meth:`WindowSpec.wids_for` divides."""
+    """:func:`~repro.core.query.floor_div` of every element of ``x`` as
+    int64: integer floor division of an int column, float arithmetic of a
+    float one, element by element in an object column."""
     if x.dtype.kind == "i":
         q = x // slide
     elif x.dtype == object:
-        q = np.array([v // slide if isinstance(v, numbers.Integral)
-                      else math.floor(v / slide) if math.isfinite(v) else math.inf
-                      for v in x.tolist()], dtype=object)
+        try:
+            q = np.array([floor_div(v, slide) for v in x.tolist()], dtype=object)
+        except (OverflowError, ValueError):  # math.floor of ±inf or NaN
+            raise ValueError(_UNBOUNDED) from None
     else:
         q = np.floor(x / slide)
     if not (np.abs(q) < 2**62).all():  # NaN, ±inf, or beyond int64
-        raise ValueError("an event time is not finite or its window id exceeds int64")
+        raise ValueError(_UNBOUNDED)
     return q.astype(np.int64)
 
 

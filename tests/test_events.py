@@ -92,12 +92,3 @@ def test_from_pandas_is_the_stable_sort(kind):
         assert pd.Series(got.tolist(), dtype=object).equals(
             pd.Series(want[col].tolist(), dtype=object)), col
 
-
-def test_from_pandas_keeps_a_sorted_frame_in_place():
-    """A frame already in time order is not copied."""
-    pdf = pd.DataFrame({"time": [1, 1, 2, 5], "etype": ["A", "B", "A", "B"],
-                        "v": [0.5, 1.5, 2.5, 3.5]})
-    sub = Substream.from_pandas(pdf, attr_cols=("v",))
-    assert np.shares_memory(sub.time, pdf["time"].to_numpy())
-    assert np.shares_memory(sub.cols["v"], pdf["v"].to_numpy())
-    assert sub.etype.tolist() == ["A", "B", "A", "B"]
