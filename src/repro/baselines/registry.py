@@ -19,8 +19,9 @@ which are built before the clock starts.
 
 ``run_approach_windows`` is its per-group form, the one the Spark runner
 calls: one ``KernelResult`` per window that covers one of a group's
-events (``windows.window_cuts``; with no window clause the whole group is
-wid 0), after one domain check over the events that lie in some window.
+events (``windows.window_cuts``), after one domain check over the events
+that lie in some window. With no window clause the whole group is wid 0,
+without ``window_plan`` or ``window_cuts``.
 Cogra at the TYPE granularity folds every window in one shared pass
 (``MixedGrainedAggregator.scan_windows``), and each window's
 ``kernel_seconds`` is an even share of that pass; every other run is
@@ -173,14 +174,24 @@ def run_approach_windows(
     ``sub``: ``(wid, result)`` in wid order (module docstring). A window's
     run that exhausts its ``new_budget()`` is a DNF row."""
     info = _info(name, cq)
-    lo, hi = window_plan(sub.time, cq.query.window)
-    wids, s, t = window_cuts(lo, hi)
-    if not len(wids):
-        return []
-    first = int(s[0])  # the events from here on lie in some window
-    relevant = np.concatenate([[0], np.cumsum(check_substream(cq, sub[first:]))])
-    events = (relevant[t - first] - relevant[s - first]).tolist()
+    window = cq.query.window
+    if window is None:  # the whole group is wid 0
+        if not len(sub):
+            return []
+        wids = s = np.zeros(1, np.int64)
+        t = np.array([len(sub)])
+        events = [int(check_substream(cq, sub).sum())]
+    else:
+        lo, hi = window_plan(sub.time, window)
+        wids, s, t = window_cuts(lo, hi)
+        if not len(wids):
+            return []
+        first = int(s[0])  # the events from here on lie in some window
+        relevant = np.concatenate([[0], np.cumsum(check_substream(cq, sub[first:]))])
+        events = (relevant[t - first] - relevant[s - first]).tolist()
     if name == "cogra" and cq.granularity is Granularity.TYPE:
+        if window is None:
+            lo = hi = np.zeros(len(sub), np.int64)
         agg = make_aggregator(cq)
         t0 = time.perf_counter()
         aggregates = agg.scan_windows(sub, lo, hi, wids)

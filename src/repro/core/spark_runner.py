@@ -29,6 +29,10 @@ Stages 3 and 4 are ``window_frame``. The streaming runner
 once per key and micro-batch, into the same result schema; its per-group
 runner folds each window's slice into that window's carried aggregator.
 
+``window_frame`` is also where the Python workers get
+``worker_env.install``: from a worker's second task on, its set-up no
+longer re-reads Spark's zip archives (below CPython 3.13).
+
 The kernel is sequential per substream by design: Definition 7 adjacency
 is order-sensitive, so parallelism comes from partitioning, exactly as in
 the paper (Section 8, "Parallel Processing").
@@ -44,6 +48,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.baselines.registry import run_approach_windows
+from repro.core import worker_env
 from repro.core.events import Substream
 from repro.core.predicates import _OPS
 from repro.core.query import CompiledQuery, Query
@@ -130,7 +135,11 @@ def window_frame(
     into a ``Substream``, ``run(sub)`` gives one ``(wid, KernelResult)``
     per window, and the frame is built column by column, in the schema's
     order: the key columns, the rounded aggregates (:func:`rounded`) and
-    the metric columns."""
+    the metric columns.
+
+    It runs in the Python workers, so it also makes their later tasks skip
+    re-reading Spark's zip archives (``worker_env.install``)."""
+    worker_env.install()
     q = cq.query
     sub = Substream.from_pandas(pdf, q.time_col, q.type_col, cq.attr_cols)
     runs = run(sub)

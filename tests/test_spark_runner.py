@@ -380,3 +380,48 @@ def test_events_without_time_are_dropped(spark, stream_pdf, missing, window):
     want = run_query(spark.createDataFrame(pdf[~holes]), q).toPandas()
     assert out.events.sum() == want.events.sum() > 0
     _cmp(out, want[["grp", "wid", *(s.name for s in AGGS), "events"]], ["grp", "wid"])
+
+
+def test_reused_worker_skips_archive_rereads(spark, stream_pdf):
+    """PySpark calls ``importlib.invalidate_caches()`` before every task.
+    In a Python worker whose earlier task ran the kernel path
+    (``window_frame``), that re-reads no zip archive on ``sys.path``."""
+    q = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY, aggregates=(Count(),))
+    cq = q.compile()
+    pdf = stream_pdf.head(20)
+
+    def probe(pdfs):
+        """This worker's ``zipimport._read_directory`` calls since its last
+        probe, None in its first; then one kernel call."""
+        import zipimport
+
+        from repro.baselines.registry import run_approach_windows
+        from repro.core.spark_runner import window_frame
+
+        reads = getattr(zipimport, "_test_probe_reads", None)
+        if reads is None:
+            zipimport._test_probe_reads = []
+            read = zipimport._read_directory
+
+            def counting_read(path):
+                zipimport._test_probe_reads.append(path)
+                return read(path)
+
+            zipimport._read_directory = counting_read
+        for _ in pdfs:
+            pass
+        window_frame((), pdf, cq, lambda sub: run_approach_windows("cogra", sub, cq))
+        n = None if reads is None else len(reads)
+        zipimport._test_probe_reads.clear()
+        yield pd.DataFrame({"reads": [n]})
+
+    # Idle workers are reused oldest first, so a probe reaches a worker it
+    # ran in before once it has gone round the pool.
+    counts = []
+    for _ in range(16):
+        row = spark.range(1, numPartitions=1).mapInPandas(probe, "reads long").collect()
+        if row[0].reads is not None:
+            counts.append(row[0].reads)
+            if len(counts) == 2:
+                break
+    assert counts == [0, 0]

@@ -12,14 +12,14 @@ import pytest
 
 from repro.baselines import registry
 from repro.baselines.bruteforce import aggregate_bruteforce
-from repro.baselines.registry import run_approach, run_approach_windows
+from repro.baselines.registry import APPROACHES, run_approach, run_approach_windows, supports
 from repro.core.aggregates import Count, CountType
 from repro.core.events import Event, Substream
 from repro.core.granularity import Granularity, Semantics
 from repro.core.query import Query, WindowSpec
 from repro.core.spark_runner import window_frame
 from repro.core.windows import window_slices
-from tests.test_kernels_vs_bruteforce import AGGS, PATTERNS
+from tests.test_kernels_vs_bruteforce import AGGS, PATTERNS, PRED_SETS
 
 WINDOWS = [WindowSpec(10, 5), WindowSpec(12, 4), WindowSpec(10, 10)]
 
@@ -75,6 +75,30 @@ def test_scan_with_no_window_is_wid_0():
     got = run_approach_windows("cogra", Substream.from_events(events, cq.attr_cols), cq)
     assert [w for w, _ in got] == [0]
     assert got[0][1].aggregates == aggregate_bruteforce(events, cq)
+
+
+@pytest.mark.parametrize("sem", list(Semantics), ids=str)
+@pytest.mark.parametrize("pred_key", ["none", "cross"])
+def test_no_window_is_one_run_over_the_group(monkeypatch, sem, pred_key):
+    """Without a window clause the group is wid 0, and every approach's
+    row equals ``run_approach`` on the whole group, with no window
+    arithmetic: ``window_plan`` and ``window_cuts`` are never called."""
+
+    def no_windows(*args):
+        raise AssertionError("window arithmetic without a window clause")
+
+    monkeypatch.setattr(registry, "window_plan", no_windows)
+    monkeypatch.setattr(registry, "window_cuts", no_windows)
+    monkeypatch.setattr(registry, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    cq = Query(pattern="SEQ(A+, B)", semantics=sem, aggregates=AGGS,
+               adjacent_predicates=PRED_SETS[pred_key]).compile()
+    events = mkgroup(14, 4, tied=False, floats=True)
+    for name in APPROACHES:
+        if not supports(name, cq):
+            continue
+        got = run_approach_windows(name, Substream.from_events(events, cq.attr_cols), cq)
+        assert got == [(0, run_approach(name, events, cq))], name
+        assert run_approach_windows(name, Substream.from_events([], cq.attr_cols), cq) == []
 
 
 @pytest.mark.parametrize("m", [57, 58, 63, 70])
