@@ -13,9 +13,9 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _util import get_spark
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.reporting import to_markdown
-from repro.harness.runner import points_to_pdf
+from repro.harness.runner import run_sweep
 
 
 def main(out_path: str, names: list[str]) -> None:
@@ -24,12 +24,12 @@ def main(out_path: str, names: list[str]) -> None:
     try:
         for name in names:
             print(f"=== {name} ===", flush=True)
-            points = ALL_EXPERIMENTS[name](spark)
-            md = to_markdown(points, name)
+            table = run_sweep(spark, name, EXPERIMENTS[name])
+            md = to_markdown(table, name)
             print(md, flush=True)
             sections.append(md)
             csv = pathlib.Path(out_path).with_suffix(f".{name}.csv")
-            points_to_pdf(points).to_csv(csv, index=False)
+            table.to_csv(csv, index=False)
     finally:
         spark.stop()
     pathlib.Path(out_path).write_text(
@@ -42,9 +42,9 @@ def main(out_path: str, names: list[str]) -> None:
 if __name__ == "__main__":
     args = sys.argv[1:]
     out = "experiments_results.md"
-    if args and args[0] not in ALL_EXPERIMENTS:
+    if args and args[0] not in EXPERIMENTS:
         out = args.pop(0)
-    unknown = [a for a in args if a not in ALL_EXPERIMENTS]
+    unknown = [a for a in args if a not in EXPERIMENTS]
     if unknown:
-        sys.exit(f"unknown experiment(s) {unknown}; choose from {list(ALL_EXPERIMENTS)}")
-    main(out, args or list(ALL_EXPERIMENTS))
+        sys.exit(f"unknown experiment(s) {unknown}; choose from {list(EXPERIMENTS)}")
+    main(out, args or list(EXPERIMENTS))

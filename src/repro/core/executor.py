@@ -6,10 +6,12 @@ time-ordered :class:`~repro.core.events.Substream`. ``fold`` is Cogra's
 entry point for one substream: ``registry.run_approach`` runs it, the
 batch kernel on each (group, window) slice except at the TYPE
 granularity, where ``registry.run_approach_windows`` folds all of a
-group's windows at once (``MixedGrainedAggregator.scan_windows``), and
-the Structured Streaming runner once per key, micro-batch and window
-slice, into that window's carried aggregator. ``check_substream`` is the
-one domain check in front of both, shared by both runners.
+group's windows at once (``MixedGrainedAggregator.scan_windows``).
+``check_substream`` is the one domain check in front of every fold.
+``checked_fold`` is the checked, timed step into a given aggregator: a
+fresh one for ``aggregate_substream``, and that window's carried one for
+the Structured Streaming runner, once per key, micro-batch and window
+slice.
 
 Every aggregator implements the same protocol: ``update(etype, attrs)``
 returns the event's e.count (None if unmatched), ``result()`` finalizes
@@ -22,6 +24,7 @@ substream's ``Event`` rows.
 """
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 import numpy as np
@@ -97,13 +100,17 @@ def aggregate_substream(
 ) -> KernelResult:
     """Incrementally aggregate the trends of one substream with the
     coarsest-granularity Cogra aggregator selected for the query."""
-    return kernel_result(fold(make_aggregator(cq), as_substream(events, cq), trace))
+    return checked_fold(make_aggregator(cq), as_substream(events, cq), cq, trace=trace)
 
 
-def kernel_result(agg) -> KernelResult:
-    """``agg``'s aggregates, events processed and peak state so far."""
-    return KernelResult(
-        aggregates=agg.result(),
-        events_processed=agg.events_processed,
-        peak_state_bytes=agg.meter.peak,
-    )
+def checked_fold(agg, sub: Substream, cq: CompiledQuery, *,
+                 trace: list | None = None) -> KernelResult:
+    """Check ``sub``'s attribute domains (``check_substream``, which
+    raises), fold it into ``agg`` (a fresh aggregator, or a window's
+    carried one) and return ``agg``'s aggregates, events processed and
+    peak state so far; ``kernel_seconds`` times the fold and result."""
+    check_substream(cq, sub)
+    t0 = time.perf_counter()
+    aggregates = fold(agg, sub, trace).result()
+    return KernelResult(aggregates, agg.events_processed, agg.meter.peak,
+                        time.perf_counter() - t0)

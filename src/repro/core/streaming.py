@@ -3,12 +3,12 @@
 The stream takes the batch runner's path: the local filter and column
 select (``prepare_input``), one group per partition key, the group's
 events as one time-ordered ``Substream``, one contiguous slice per
-covering window (``windows.window_slices``), checked by
-``executor.check_substream`` and folded by ``executor.fold``, and one
-output row per window (``window_frame``, batch's result schema). Unlike
-batch, every window's slice is folded into that window's carried
-aggregator, including at the TYPE granularity. Each
-micro-batch runs ``applyInPandasWithState`` once per key.
+covering window (``windows.window_slices``), checked and folded by
+``executor.checked_fold``, and one output row per window
+(``window_frame``, batch's result schema). Unlike batch, every window's
+slice is folded into that window's carried aggregator, including at the
+TYPE granularity. Each micro-batch runs ``applyInPandasWithState`` once
+per key.
 
 A key's state is one pickle of its open windows' Cogra aggregators
 (wid -> aggregator: Theta(l) values at the type granularity, O(1) at the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import pickle
-import time
 from typing import Iterator
 
 import pandas as pd
@@ -79,18 +78,13 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
         on_time = pdf[pdf[query.time_col] >= last]
         late += len(pdf) - len(on_time)
 
-        def fold_into(wid: int, part: Substream) -> KernelResult:
-            if wid not in aggs:
-                aggs[wid] = executor.make_aggregator(cq)
-            executor.check_substream(cq, part)
-            t0 = time.perf_counter()
-            res = executor.kernel_result(executor.fold(aggs[wid], part))
-            res.kernel_seconds = time.perf_counter() - t0
-            return res
-
         def run(sub: Substream) -> list[tuple[int, KernelResult]]:
-            return [(w, fold_into(w, sub[s:t]))
-                    for w, s, t in window_slices(sub.time, window)]
+            out = []
+            for w, s, t in window_slices(sub.time, window):
+                if w not in aggs:
+                    aggs[w] = executor.make_aggregator(cq)
+                out.append((w, executor.checked_fold(aggs[w], sub[s:t], cq)))
+            return out
 
         rows = window_frame(key, on_time, cq, run, late)
         last = max(last, pdf[query.time_col].max())

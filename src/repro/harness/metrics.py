@@ -87,8 +87,9 @@ class KernelResult:
     aggregates: dict = field(default_factory=dict)
     events_processed: int = 0
     peak_state_bytes: int = 0
-    # Timed by registry.run_approach; on the shared window fold, an even
-    # share of the group's fold time (registry.run_approach_windows).
+    # Timed by registry.run_approach and executor.checked_fold; on the
+    # shared window fold, an even share of the group's fold time
+    # (registry.run_approach_windows).
     kernel_seconds: float = 0.0
     dnf: bool = False  # did-not-finish (budget exceeded)
     trends_constructed: int = 0  # two-step approaches only

@@ -1,46 +1,46 @@
 """Markdown rendering of experiment results (EXPERIMENTS.md tables)."""
 from __future__ import annotations
 
-from repro.harness.runner import SweepPoint
+import pandas as pd
 
 
-def _fmt_lat(p: SweepPoint) -> str:
-    if p.latency_ms is None:
+def _fmt_lat(p: dict) -> str:
+    if pd.isna(p["latency_ms"]):
         return "DNF"
-    suffix = f" ({p.dnf_frac:.0%} DNF)" if p.dnf_frac else ""
-    return f"{p.latency_ms:,.2f}{suffix}"
+    suffix = f" ({p['dnf_frac']:.0%} DNF)" if p["dnf_frac"] else ""
+    return f"{p['latency_ms']:,.2f}{suffix}"
 
 
-def _fmt_mem(p: SweepPoint) -> str:
-    b = p.peak_state_bytes
+def _fmt_mem(p: dict) -> str:
+    b = p["peak_state_bytes"]
     for unit, div in (("GB", 1e9), ("MB", 1e6), ("KB", 1e3)):
         if b >= div:
             return f"{b / div:,.1f} {unit}"
     return f"{b} B"
 
 
-def _fmt_tp(p: SweepPoint) -> str:
-    if p.throughput_eps is None:
+def _fmt_tp(p: dict) -> str:
+    if pd.isna(p["throughput_eps"]):
         return "-"
-    return f"{p.throughput_eps:,.0f}"
+    return f"{p['throughput_eps']:,.0f}"
 
 
-def to_markdown(points: list[SweepPoint], title: str) -> str:
-    """One markdown table per experiment: rows = sweep values, columns =
-    approach metrics (latency ms / peak state / throughput ev/s)."""
-    if not points:
+def to_markdown(table: pd.DataFrame, title: str) -> str:
+    """One markdown table per experiment, from ``run_sweep``'s rows:
+    rows = sweep values, columns = approach metrics (latency ms / peak
+    state / throughput ev/s)."""
+    if table.empty:
         return f"### {title}\n\n(no data)\n"
-    x_name = points[0].x_name
-    approaches = list(dict.fromkeys(p.approach for p in points))
-    xs = list(dict.fromkeys(p.x for p in points))
-    by = {(p.x, p.approach): p for p in points}
+    x_name = table.columns[1]  # run_sweep's columns: experiment, x, approach, ...
+    approaches = list(dict.fromkeys(table.approach))
+    by = {(p[x_name], p["approach"]): p for p in table.to_dict("records")}
     lines = [f"### {title}", ""]
     header = [x_name] + [
         f"{a} lat(ms) | {a} mem | {a} ev/s" for a in approaches
     ]
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * (1 + 3 * len(approaches)))
-    for x in xs:
+    for x in dict.fromkeys(table[x_name].tolist()):
         cells = [str(x)]
         for a in approaches:
             p = by.get((x, a))

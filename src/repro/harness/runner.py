@@ -1,16 +1,17 @@
 """Experiment runner: evaluate approaches on a workload through the Spark
 pipeline and collect the paper's three metrics (Section 9.1).
 
-One :class:`SweepPoint` per (experiment, sweep value, approach):
+``run_sweep`` gives one row per (sweep value, approach):
 
 * ``latency_ms``   — mean per-substream kernel time (the aggregation work
   for one window/group, the paper's per-result latency);
 * ``throughput_eps`` — kernel-processed events per total kernel second
   (how fast the approach itself consumes the stream);
 * ``peak_state_bytes`` — summed per-substream peak state (DESIGN.md);
-* ``wall_s``       — end-to-end Spark wall time of the whole sweep point;
 * ``dnf_frac``     — fraction of substreams that exceeded the budget
-  (the paper's "fails to terminate").
+  (the paper's "fails to terminate");
+* ``events_processed`` — relevant events over all substreams;
+* ``wall_s``       — end-to-end Spark wall time of the whole sweep point.
 
 ``count_checksum`` sums COUNT(*) over all substreams with ``math.fsum``
 (every row's count is an exact value rounded once, so the sum does not
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -32,44 +34,30 @@ from repro.core.query import Query
 from repro.core.spark_runner import run_query
 
 
-@dataclass
-class SweepPoint:
-    experiment: str
+@dataclass(frozen=True)
+class Sweep:
+    """One experiment: the workload ``make_pdf(x)`` and the query
+    ``make_query(x)`` at every x of ``xs``, run by each of ``approaches``
+    that supports the query, with ``budget`` (``run_query``'s
+    ``budget_units`` / ``budget_seconds``; its defaults where unset)."""
+
     x_name: str
-    x: float
-    approach: str
-    total_events: int = 0
-    n_substreams: int = 0
-    latency_ms: float | None = None
-    throughput_eps: float | None = None
-    peak_state_bytes: int = 0
-    wall_s: float = 0.0
-    dnf_frac: float = 0.0
-    count_checksum: float | None = None
+    xs: tuple
+    make_pdf: Callable[[Any], pd.DataFrame]
+    make_query: Callable[[Any], Query]
+    approaches: tuple[str, ...]
+    budget: dict = field(default_factory=dict)
 
 
 def run_point(
-    spark: SparkSession,
-    pdf: pd.DataFrame,
-    query: Query,
-    approach: str,
-    *,
-    experiment: str,
-    x_name: str,
-    x: float,
-    budget_units: int = 5_000_000,
-    budget_seconds: float = 30.0,
-) -> SweepPoint:
-    """Run one approach on one workload through the Spark pipeline."""
+    spark: SparkSession, pdf: pd.DataFrame, query: Query, approach: str, **budget
+) -> dict:
+    """Run one approach on one workload through the Spark pipeline; its
+    metrics, in ``run_sweep``'s column order. ``budget`` goes to
+    ``run_query``."""
     df = spark.createDataFrame(pdf)
     t0 = time.perf_counter()
-    out = run_query(
-        df,
-        query,
-        approach=approach,
-        budget_units=budget_units,
-        budget_seconds=budget_seconds,
-    ).toPandas()
+    out = run_query(df, query, approach=approach, **budget).toPandas()
     wall = time.perf_counter() - t0
     done = out[~out.dnf]
     kernel_s = out.kernel_seconds.sum()
@@ -77,94 +65,48 @@ def run_point(
     checksum = None
     if "count_star" in out.columns and len(done) and not done.overflow.any():
         checksum = math.fsum(done.count_star)
-    return SweepPoint(
-        experiment=experiment,
-        x_name=x_name,
-        x=x,
-        approach=approach,
-        total_events=events,
-        n_substreams=len(out),
-        latency_ms=None if out.dnf.all() else float(done.kernel_seconds.mean() * 1e3),
-        throughput_eps=None
+    return {
+        "latency_ms": None if out.dnf.all() else float(done.kernel_seconds.mean() * 1e3),
+        "throughput_eps": None
         if out.dnf.any() or kernel_s == 0
         else float(events / kernel_s),
-        peak_state_bytes=int(out.peak_state_bytes.sum()),
-        wall_s=wall,
-        dnf_frac=float(out.dnf.mean()),
-        count_checksum=checksum,
-    )
+        "peak_state_bytes": int(out.peak_state_bytes.sum()),
+        "dnf_frac": float(out.dnf.mean()),
+        "events_processed": events,
+        "wall_s": wall,
+        "count_checksum": checksum,
+    }
 
 
-def run_sweep(
-    spark: SparkSession,
-    *,
-    experiment: str,
-    x_name: str,
-    xs: list,
-    make_pdf,
-    make_query,
-    approaches: list[str],
-    budget_units: int = 5_000_000,
-    budget_seconds: float = 30.0,
-    verbose: bool = True,
-) -> list[SweepPoint]:
-    """Run every supported approach at every sweep value.
+def run_sweep(spark: SparkSession, name: str, sweep: Sweep) -> pd.DataFrame:
+    """Run every supported approach at every sweep value, one row each:
+    ``experiment``, the x column (``sweep.x_name``), ``approach``, then
+    ``run_point``'s metrics.
 
-    ``make_pdf(x)`` builds the workload and ``make_query(x)`` the query.
     Asserts all non-DNF approaches give equal COUNT(*) checksums at each
     point.
     """
-    points: list[SweepPoint] = []
-    for x in xs:
-        pdf = make_pdf(x)
-        query = make_query(x)
+    rows: list[dict] = []
+    for x in sweep.xs:
+        pdf = sweep.make_pdf(x)
+        query = sweep.make_query(x)
         cq = query.compile()
-        at_x: list[SweepPoint] = []
-        for ap in approaches:
+        sums = {}
+        for ap in sweep.approaches:
             if not supports(ap, cq):
                 continue
-            p = run_point(
-                spark, pdf, query, ap,
-                experiment=experiment, x_name=x_name, x=x,
-                budget_units=budget_units, budget_seconds=budget_seconds,
+            p = run_point(spark, pdf, query, ap, **sweep.budget)
+            rows.append({"experiment": name, sweep.x_name: x, "approach": ap, **p})
+            lat = "DNF" if p["latency_ms"] is None else f"{p['latency_ms']:10.3f}ms"
+            print(
+                f"[{name}] {sweep.x_name}={x:<10} {ap:<6} lat={lat} "
+                f"mem={p['peak_state_bytes']:>12}B dnf={p['dnf_frac']:.0%} "
+                f"wall={p['wall_s']:.1f}s"
             )
-            at_x.append(p)
-            if verbose:
-                lat = "DNF" if p.latency_ms is None else f"{p.latency_ms:10.3f}ms"
-                print(
-                    f"[{experiment}] {x_name}={x:<10} {ap:<6} lat={lat} "
-                    f"mem={p.peak_state_bytes:>12}B dnf={p.dnf_frac:.0%} "
-                    f"wall={p.wall_s:.1f}s"
-                )
-        sums = {
-            p.approach: p.count_checksum
-            for p in at_x
-            if p.dnf_frac == 0 and p.count_checksum is not None
-        }
+            if p["dnf_frac"] == 0 and p["count_checksum"] is not None:
+                sums[ap] = p["count_checksum"]
         if len(set(sums.values())) > 1:
             raise AssertionError(
-                f"{experiment} @ {x_name}={x}: approaches disagree: {sums}"
+                f"{name} @ {sweep.x_name}={x}: approaches disagree: {sums}"
             )
-        points.extend(at_x)
-    return points
-
-
-def points_to_pdf(points: list[SweepPoint]) -> pd.DataFrame:
-    """Tabulate sweep points (for reports and EXPERIMENTS.md)."""
-    return pd.DataFrame(
-        [
-            {
-                "experiment": p.experiment,
-                p.x_name: p.x,
-                "approach": p.approach,
-                "latency_ms": p.latency_ms,
-                "throughput_eps": p.throughput_eps,
-                "peak_state_bytes": p.peak_state_bytes,
-                "dnf_frac": p.dnf_frac,
-                "events_processed": p.total_events,
-                "wall_s": p.wall_s,
-                "count_checksum": p.count_checksum,
-            }
-            for p in points
-        ]
-    )
+    return pd.DataFrame(rows)

@@ -32,6 +32,13 @@ def a_stream(values) -> list[Event]:
     return [Event(i, i + 1, "A", {"v": v}) for i, v in enumerate(values)]
 
 
+def unreached(bad) -> list[Event]:
+    """``bad`` on an A that no B precedes: no NEXT or CONT trend of
+    ``SEQ(B, A)`` reaches it, yet the input must still be rejected."""
+    return [Event(0, 1, "A", {"v": bad}), Event(1, 2, "B", {}),
+            Event(2, 3, "A", {"v": 1.0})]
+
+
 def test_any_closed_forms_beyond_double_range():
     """``A+`` under ANY: every non-empty subset of the n events is a trend,
     so COUNT = 2^n - 1 and each event lies in 2^(n-1) of them."""
@@ -74,9 +81,14 @@ def test_float_sum_is_exact_and_avg_correctly_rounded():
 def test_sum_and_avg_reject_non_finite_attributes(spec, bad):
     with pytest.raises(ValueError, match=f"{spec.name}: .*{bad!r}"):
         spec.on_event(spec.init_val(), "A", {"v": bad}, 1)
-    cq = Query(pattern="A+", semantics=Semantics.NEXT, aggregates=(spec,)).compile()
-    with pytest.raises(ValueError, match=spec.name):
-        aggregate_substream(a_stream([1.0, bad]), cq)
+    for pattern, semantics, events in [
+        ("A+", Semantics.NEXT, a_stream([1.0, bad])),
+        ("SEQ(B, A)", Semantics.NEXT, unreached(bad)),
+        ("SEQ(B, A)", Semantics.CONT, unreached(bad)),
+    ]:
+        cq = Query(pattern=pattern, semantics=semantics, aggregates=(spec,)).compile()
+        with pytest.raises(ValueError, match=spec.name):
+            aggregate_substream(events, cq)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +110,11 @@ def test_min_and_max_reject_nan_in_every_approach(values):
     # Rejected even where no trend reaches the event (e.count = 0).
     with pytest.raises(ValueError, match=bad):
         Min("A", "v").on_event(None, "A", {"v": math.nan}, 0)
+    for semantics in (Semantics.NEXT, Semantics.CONT):
+        cq = Query(pattern="SEQ(B, A)", semantics=semantics,
+                   aggregates=(Min("A", "v"), Max("A", "v"))).compile()
+        with pytest.raises(ValueError, match=bad):
+            aggregate_substream(unreached(math.nan), cq)
 
 
 @pytest.mark.parametrize("semantics", list(Semantics))

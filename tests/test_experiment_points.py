@@ -1,51 +1,56 @@
 """The evaluation's points (tables E1–E6, paper Figures 5–10) as exact tests:
-the workloads and queries of ``repro.harness.experiments``, split into the
+each point's workload and query come from ``EXPERIMENTS``, split into the
 query's groups. Every listed approach must finish every substream, with no
-non-finite float, and return per-substream aggregates ``==`` to Cogra's."""
+non-finite float, and return per-substream aggregates ``==`` to Cogra's.
+The table itself is checked without Spark."""
 import math
 from functools import lru_cache
 
 import pytest
 
-from repro.baselines.registry import run_approach
+from repro.baselines.registry import APPROACHES, run_approach, supports
 from repro.core.events import Substream
-from repro.harness.experiments import Q1, Q2_ANY, Q2_NEXT, selectivity_query, stock_query
-from repro.synth_data import activity_stream_pdf, stock_stream_pdf, transport_stream_pdf
+from repro.harness.experiments import EXPERIMENTS
 
-# point: (workload, query, the approaches compared with Cogra)
+# point: (experiment, x, the approaches compared with Cogra)
 POINTS = {
-    # q1's local predicate is applied before the kernels, as Catalyst does.
-    "E1": (lambda: activity_stream_pdf(n=20_000, seed=10).query("activity < 9"),
-           Q1, ["flink", "sase"]),
-    "E2": (lambda: transport_stream_pdf(n=100_000, seed=12), Q2_NEXT, ["sase"]),
-    "E3": (lambda: stock_stream_pdf(n=300, seed=11), stock_query(),
-           ["flink", "sase", "greta", "aseq"]),
-    "E4": (lambda: stock_stream_pdf(n=10_000, seed=11), stock_query(), ["greta", "aseq"]),
+    "E1": ("E1-cont", 20_000, ["flink", "sase"]),
+    "E2": ("E2-next", 100_000, ["sase"]),
+    "E3": ("E3-any-all", 300, ["flink", "sase", "greta", "aseq"]),
+    "E4": ("E4-any-online", 10_000, ["greta", "aseq"]),
     **{
-        f"E5-{s}": (lambda: stock_stream_pdf(n=1_000, seed=11), selectivity_query(s), aps)
+        f"E5-{s}": ("E5-selectivity", s, aps)
         for s, aps in [(0.5, ["sase", "greta"]), (0.1, ["flink"]), (0.9, ["greta"])]
     },
     **{
-        f"E6-{g}": (lambda g=g: transport_stream_pdf(n=900, n_passengers=g, seed=12),
-                    Q2_ANY, aps)
+        f"E6-{g}": ("E6-groups", g, aps)
         for g, aps in [(30, ["sase", "greta", "aseq"]), (5, ["greta", "aseq"])]
     },
-    "E4-100k": (lambda: stock_stream_pdf(n=100_000, seed=11), stock_query(), []),
+    "E4-100k": ("E4-any-online", 100_000, []),
 }
+
+
+def point_query(point: str):
+    name, x, _ = POINTS[point]
+    return EXPERIMENTS[name].make_query(x)
 
 
 # Tests run point by point, so one cached point is enough.
 @lru_cache(maxsize=1)
 def point_streams(point: str) -> list[Substream]:
-    make_pdf, query, _ = POINTS[point]
+    name, x, _ = POINTS[point]
+    pdf = EXPERIMENTS[name].make_pdf(x)
+    if name == "E1-cont":  # q1's local predicate runs before the kernels, as in Catalyst
+        pdf = pdf.query("activity < 9")
+    query = point_query(point)
     cols = query.compile().attr_cols
     return [Substream.from_pandas(g, attr_cols=cols)
-            for _, g in make_pdf().groupby(list(query.partition_by))]
+            for _, g in pdf.groupby(list(query.partition_by))]
 
 
 def run_each(point: str, approach: str) -> list[dict]:
     """Each substream's aggregates; no run may DNF or give a non-finite float."""
-    cq = POINTS[point][1].compile()
+    cq = point_query(point).compile()
     results = [run_approach(approach, sub, cq) for sub in point_streams(point)]
     assert not any(r.dnf for r in results), f"{approach} exceeded its budget"
     aggs = [r.aggregates for r in results]
@@ -76,3 +81,16 @@ def test_e4_cogra_high_rate():
     for sub, r in zip(point_streams("E4-100k"), results):
         prices = sub.cols["price"][sub.etype == "U"]
         assert prices.min() <= r["avg_U_price"] <= prices.max()
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_sweep_definition(name):
+    """Every x is distinct, its query compiles, and at least two of the
+    sweep's approaches support it, so ``run_sweep``'s checksum
+    cross-check compares something."""
+    sweep = EXPERIMENTS[name]
+    assert set(sweep.approaches) <= set(APPROACHES)
+    assert len(set(sweep.xs)) == len(sweep.xs)
+    for x in sweep.xs:
+        cq = sweep.make_query(x).compile()
+        assert sum(supports(a, cq) for a in sweep.approaches) >= 2, x
