@@ -24,8 +24,9 @@ def main(out_path: str, names: list[str]) -> None:
     try:
         for name in names:
             print(f"=== {name} ===", flush=True)
-            table = run_sweep(spark, name, EXPERIMENTS[name])
-            md = to_markdown(table, name)
+            sweep = EXPERIMENTS[name]
+            table = run_sweep(spark, name, sweep)
+            md = to_markdown(table, name, sweep.x_name)
             print(md, flush=True)
             sections.append(md)
             csv = pathlib.Path(out_path).with_suffix(f".{name}.csv")

@@ -103,7 +103,7 @@ EXPERIMENTS: dict[str, Sweep] = {
         make_pdf=lambda n: stock_stream_pdf(n=n, seed=11),
         make_query=lambda n: stock_query(),
         approaches=("flink", "sase", "greta", "aseq", "cogra"),
-        budget={"budget_seconds": 10.0},
+        budget_seconds=10.0,
     ),
     # E4 <- Figure 8: ANY semantics, online approaches, high-rate stream.
     # GRETA (event-grained, O(n^2)) and A-Seq (flattened workload growing
@@ -115,7 +115,8 @@ EXPERIMENTS: dict[str, Sweep] = {
         make_pdf=lambda n: stock_stream_pdf(n=n, seed=11),
         make_query=lambda n: stock_query(),
         approaches=("greta", "aseq", "cogra"),
-        budget={"budget_seconds": 60.0, "budget_units": 500_000_000},
+        budget_seconds=60.0,
+        budget_units=500_000_000,
     ),
     # E5 <- Figure 9: selectivity of predicates on adjacent events, on one
     # stream. A-Seq is excluded (no such predicates). Cogra runs
@@ -126,7 +127,7 @@ EXPERIMENTS: dict[str, Sweep] = {
         make_pdf=lambda s: stock_stream_pdf(n=1_000, seed=11),
         make_query=selectivity_query,
         approaches=("flink", "sase", "greta", "cogra"),
-        budget={"budget_seconds": 10.0},
+        budget_seconds=10.0,
     ),
     # E6 <- Figure 10: number of event trend groups. The transport
     # workload under ANY with the q2 pattern; the number of passengers
@@ -139,6 +140,6 @@ EXPERIMENTS: dict[str, Sweep] = {
         make_pdf=lambda g: transport_stream_pdf(n=900, n_passengers=g, seed=12),
         make_query=lambda g: Q2_ANY,
         approaches=("flink", "sase", "greta", "aseq", "cogra"),
-        budget={"budget_seconds": 2.0},
+        budget_seconds=2.0,
     ),
 }

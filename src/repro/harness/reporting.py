@@ -25,13 +25,12 @@ def _fmt_tp(p: dict) -> str:
     return f"{p['throughput_eps']:,.0f}"
 
 
-def to_markdown(table: pd.DataFrame, title: str) -> str:
+def to_markdown(table: pd.DataFrame, title: str, x_name: str) -> str:
     """One markdown table per experiment, from ``run_sweep``'s rows:
-    rows = sweep values, columns = approach metrics (latency ms / peak
-    state / throughput ev/s)."""
+    rows = the values of column ``x_name``, columns = approach metrics
+    (latency ms / peak state / throughput ev/s)."""
     if table.empty:
         return f"### {title}\n\n(no data)\n"
-    x_name = table.columns[1]  # run_sweep's columns: experiment, x, approach, ...
     approaches = list(dict.fromkeys(table.approach))
     by = {(p[x_name], p["approach"]): p for p in table.to_dict("records")}
     lines = [f"### {title}", ""]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import pandas as pd
@@ -38,26 +38,26 @@ from repro.core.spark_runner import run_query
 class Sweep:
     """One experiment: the workload ``make_pdf(x)`` and the query
     ``make_query(x)`` at every x of ``xs``, run by each of ``approaches``
-    that supports the query, with ``budget`` (``run_query``'s
-    ``budget_units`` / ``budget_seconds``; its defaults where unset)."""
+    that supports the query, with ``run_query``'s ``budget_units`` and
+    ``budget_seconds`` (its defaults where unset)."""
 
     x_name: str
     xs: tuple
     make_pdf: Callable[[Any], pd.DataFrame]
     make_query: Callable[[Any], Query]
     approaches: tuple[str, ...]
-    budget: dict = field(default_factory=dict)
+    budget_units: int = 5_000_000
+    budget_seconds: float = 30.0
 
 
-def run_point(
-    spark: SparkSession, pdf: pd.DataFrame, query: Query, approach: str, **budget
-) -> dict:
+def run_point(spark: SparkSession, pdf: pd.DataFrame, query: Query, approach: str, *,
+              budget_units: int = 5_000_000, budget_seconds: float = 30.0) -> dict:
     """Run one approach on one workload through the Spark pipeline; its
-    metrics, in ``run_sweep``'s column order. ``budget`` goes to
-    ``run_query``."""
+    metrics, in ``run_sweep``'s column order."""
     df = spark.createDataFrame(pdf)
     t0 = time.perf_counter()
-    out = run_query(df, query, approach=approach, **budget).toPandas()
+    out = run_query(df, query, approach=approach, budget_units=budget_units,
+                    budget_seconds=budget_seconds).toPandas()
     wall = time.perf_counter() - t0
     done = out[~out.dnf]
     kernel_s = out.kernel_seconds.sum()
@@ -67,8 +67,7 @@ def run_point(
         checksum = math.fsum(done.count_star)
     return {
         "latency_ms": None if out.dnf.all() else float(done.kernel_seconds.mean() * 1e3),
-        "throughput_eps": None
-        if out.dnf.any() or kernel_s == 0
+        "throughput_eps": None if out.dnf.any() or kernel_s == 0
         else float(events / kernel_s),
         "peak_state_bytes": int(out.peak_state_bytes.sum()),
         "dnf_frac": float(out.dnf.mean()),
@@ -95,7 +94,8 @@ def run_sweep(spark: SparkSession, name: str, sweep: Sweep) -> pd.DataFrame:
         for ap in sweep.approaches:
             if not supports(ap, cq):
                 continue
-            p = run_point(spark, pdf, query, ap, **sweep.budget)
+            p = run_point(spark, pdf, query, ap, budget_units=sweep.budget_units,
+                          budget_seconds=sweep.budget_seconds)
             rows.append({"experiment": name, sweep.x_name: x, "approach": ap, **p})
             lat = "DNF" if p["latency_ms"] is None else f"{p['latency_ms']:10.3f}ms"
             print(
@@ -106,7 +106,5 @@ def run_sweep(spark: SparkSession, name: str, sweep: Sweep) -> pd.DataFrame:
             if p["dnf_frac"] == 0 and p["count_checksum"] is not None:
                 sums[ap] = p["count_checksum"]
         if len(set(sums.values())) > 1:
-            raise AssertionError(
-                f"{name} @ {sweep.x_name}={x}: approaches disagree: {sums}"
-            )
+            raise AssertionError(f"{name} @ {sweep.x_name}={x}: approaches disagree: {sums}")
     return pd.DataFrame(rows)

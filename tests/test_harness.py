@@ -44,7 +44,7 @@ def test_run_sweep_crosschecks_approaches(spark, query):
         approaches=("cogra", "greta", "aseq"),
     ))
     assert len(table) == 6
-    assert (table.groupby("events").count_checksum.nunique() == 1).all()
+    assert (table.groupby("events").count_checksum.nunique(dropna=False) == 1).all()
 
 
 def test_run_sweep_skips_unsupported(spark):
@@ -86,13 +86,13 @@ def test_run_sweep_table_and_markdown(spark):
     e5 = EXPERIMENTS["E5-selectivity"]
     table = run_sweep(spark, "E5", replace(
         e5, xs=e5.xs[:1], make_pdf=lambda s: e5.make_pdf(s).head(200),
-        approaches=("sase", "cogra"), budget={"budget_units": 50},
+        approaches=("sase", "cogra"), budget_units=50,
     ))
     assert table.columns.tolist() == [
         "experiment", "selectivity", "approach", "latency_ms", "throughput_eps",
         "peak_state_bytes", "dnf_frac", "events_processed", "wall_s", "count_checksum",
     ]
-    lines = to_markdown(table, "E5").splitlines()
+    lines = to_markdown(table, "E5", "selectivity").splitlines()
     assert lines[:4] == [
         "### E5", "",
         "| selectivity | sase lat(ms) | sase mem | sase ev/s | cogra lat(ms) | cogra mem | cogra ev/s |",
@@ -102,4 +102,4 @@ def test_run_sweep_table_and_markdown(spark):
     assert cells[0] == "0.1"
     assert cells[1].endswith("% DNF)") and cells[3] == "-"  # SASE, partly DNF
     assert "DNF" not in cells[4] and cells[6] != "-"  # Cogra
-    assert to_markdown(table.iloc[:0], "E5") == "### E5\n\n(no data)\n"
+    assert to_markdown(table.iloc[:0], "E5", "selectivity") == "### E5\n\n(no data)\n"
