@@ -18,14 +18,12 @@ the substream's columns; every other kernel reads its ``Event`` rows,
 which are built before the clock starts.
 
 ``run_approach_windows`` is its per-group form, the one the Spark runner
-calls: one ``KernelResult`` per window that covers one of a group's
-events (``windows.window_cuts``), after one domain check over the events
-that lie in some window. With no window clause the whole group is wid 0,
-without ``window_plan`` or ``window_cuts``.
-Cogra at the TYPE granularity folds every window in one shared pass
-(``MixedGrainedAggregator.scan_windows``), and each window's
-``kernel_seconds`` is an even share of that pass; every other run is
-``run_approach``'s timed kernel call on each window's slice.
+calls: one ``KernelResult`` per window of ``executor.window_runs`` (the
+group's covering windows as slices, their relevant-event counts, one
+domain check per group). Cogra at the TYPE granularity folds every window
+in one shared pass (``MixedGrainedAggregator.scan_windows``), and each
+window's ``kernel_seconds`` is an even share of that pass; every other
+run is ``run_approach``'s timed kernel call on each window's slice.
 """
 from __future__ import annotations
 
@@ -33,17 +31,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.baselines.aseq import run_aseq
 from repro.baselines.flink_like import run_flink_like
 from repro.baselines.greta import run_greta
 from repro.baselines.sase import run_sase
 from repro.core.events import Event, Substream
-from repro.core.executor import as_substream, check_substream, fold, make_aggregator
+from repro.core.executor import as_substream, check_substream, fold, make_aggregator, window_runs
 from repro.core.granularity import Granularity, Semantics
 from repro.core.query import CompiledQuery
-from repro.core.windows import window_cuts, window_plan
 from repro.harness.metrics import Budget, BudgetExceeded, KernelResult
 
 
@@ -174,35 +169,21 @@ def run_approach_windows(
     ``sub``: ``(wid, result)`` in wid order (module docstring). A window's
     run that exhausts its ``new_budget()`` is a DNF row."""
     info = _info(name, cq)
-    window = cq.query.window
-    if window is None:  # the whole group is wid 0
-        if not len(sub):
-            return []
-        wids = s = np.zeros(1, np.int64)
-        t = np.array([len(sub)])
-        events = [int(check_substream(cq, sub).sum())]
-    else:
-        lo, hi = window_plan(sub.time, window)
-        wids, s, t = window_cuts(lo, hi)
-        if not len(wids):
-            return []
-        first = int(s[0])  # the events from here on lie in some window
-        relevant = np.concatenate([[0], np.cumsum(check_substream(cq, sub[first:]))])
-        events = (relevant[t - first] - relevant[s - first]).tolist()
+    wids, s, t, events = window_runs(sub, cq)
+    if not wids:
+        return []
     if name == "cogra" and cq.granularity is Granularity.TYPE:
-        if window is None:
-            lo = hi = np.zeros(len(sub), np.int64)
         agg = make_aggregator(cq)
         t0 = time.perf_counter()
-        aggregates = agg.scan_windows(sub, lo, hi, wids)
+        aggregates = agg.scan_windows(sub, s, t)
         share = (time.perf_counter() - t0) / len(wids)
         return [
             (w, KernelResult(a, e, agg.meter.peak, share))
-            for w, a, e in zip(wids.tolist(), aggregates, events)
+            for w, a, e in zip(wids, aggregates, events)
         ]
     if cq.semantics not in info.columnar:
         sub.rows()  # built once per group, outside the kernel's time
     return [
         (w, _timed_run(info, sub[x:y], cq, e, new_budget()))
-        for w, x, y, e in zip(wids.tolist(), s.tolist(), t.tolist(), events)
+        for w, x, y, e in zip(wids, s, t, events)
     ]

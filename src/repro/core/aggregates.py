@@ -394,26 +394,29 @@ def check_domain(specs: tuple[AggSpec, ...], etype: str, attrs: Mapping) -> None
             ordered_value(s, attrs[s.attr])
 
 
-def check_column(spec: AggSpec, x: np.ndarray) -> None:
-    """:func:`check_domain` of ``spec`` over the column ``x`` of its
-    type's events: ``isfinite`` for float SUM/AVG, no NaN for float
-    MIN/MAX, every int64 accepted, and the per-value check on an object
-    column (e.g. Python ints beyond int64)."""
+def check_column(spec: AggSpec, col: np.ndarray, mask: np.ndarray) -> None:
+    """:func:`check_domain` of ``spec`` over the values of ``col`` where
+    ``mask`` (its type's events) holds. An int64 column is accepted
+    unread; a float column is tested whole (``isfinite`` for SUM/AVG, no
+    NaN for MIN/MAX) and the mask read only at a failing value; an object
+    column (e.g. Python ints beyond int64) is checked value by value at
+    the mask."""
     if isinstance(spec, (Sum, Avg)):
         one = binary_fraction
-        bad = ~np.isfinite(x) if x.dtype.kind == "f" else None
     elif isinstance(spec, _Extremum):
         one = ordered_value
-        bad = np.isnan(x) if x.dtype.kind == "f" else None
     else:
         return
-    if x.dtype == object:
-        for v in x.tolist():
+    if col.dtype == object:
+        for v in col[mask].tolist():
             if v is MISSING:
                 raise KeyError(spec.attr)
             one(spec, v)
-    elif bad is not None and bad.any():
-        one(spec, x[bad][0].item())  # raises
+    elif col.dtype.kind == "f":
+        bad = np.flatnonzero(np.isnan(col) if one is ordered_value else ~np.isfinite(col))
+        bad = bad[mask[bad]]
+        if len(bad):
+            one(spec, col[bad[0]].item())  # raises
 
 
 def init_slots(specs: tuple[AggSpec, ...]) -> list:

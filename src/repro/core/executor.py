@@ -2,29 +2,25 @@
 
 ``make_aggregator`` builds the granularity-appropriate Cogra aggregator
 chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
-time-ordered :class:`~repro.core.events.Substream`. ``fold`` is Cogra's
-entry point for one substream: ``registry.run_approach`` runs it, the
-batch kernel on each (group, window) slice except at the TYPE
-granularity, where ``registry.run_approach_windows`` folds all of a
-group's windows at once (``MixedGrainedAggregator.scan_windows``).
-``check_substream`` is the one domain check in front of every fold.
-``checked_fold`` is the checked, timed step into a given aggregator: a
-fresh one for ``aggregate_substream``, and that window's carried one for
-the Structured Streaming runner, once per key, micro-batch and window
-slice.
+time-ordered :class:`~repro.core.events.Substream`. ``window_runs`` cuts a
+group's events into its (group, window) substreams, the one windowing
+step of both runners: each window that covers an event is a contiguous
+slice (``windows.window_plan`` and ``window_cuts``), and one domain check
+(``check_substream``) over the events that lie in some window counts each
+window's relevant events. The batch runner runs a kernel on each slice
+(``registry.run_approach_windows``); the Structured Streaming runner
+folds each slice into that window's carried aggregator.
 
 Every aggregator implements the same protocol: ``update(etype, attrs)``
 returns the event's e.count (None if unmatched), ``result()`` finalizes
-the aggregates, ``events_processed`` and ``meter`` (a
-:class:`~repro.harness.metrics.StateMeter`) report its work and state, and
-``trace_row(etype, e_count)`` gives its paper-trace columns (Tables 5-7).
+the aggregates, and ``events_processed`` and ``meter`` (a
+:class:`~repro.harness.metrics.StateMeter`) report its work and state.
 An aggregator with ``columnar`` set (Algorithm 3 under CONT) also folds a
 whole substream's columns with ``scan``; ``fold`` runs the others over the
 substream's ``Event`` rows.
 """
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +31,7 @@ from repro.core.granularity import Granularity
 from repro.core.mixed_grained import MixedGrainedAggregator
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.core.query import CompiledQuery
+from repro.core.windows import window_cuts, window_plan
 from repro.harness.metrics import KernelResult
 
 # Algorithm 1 is Algorithm 2 with T_e empty, so TYPE and MIXED share one
@@ -63,54 +60,54 @@ def check_substream(cq: CompiledQuery, sub: Substream) -> np.ndarray:
     attribute aggregated over them lies in its function's domain
     (``aggregates.check_domain``, as column operations); raises
     ``ValueError`` otherwise."""
-    pred_types = cq.analysis.pred_types
+    masks = {t: sub.etype == t for t in cq.analysis.pred_types}
     for spec in cq.specs:
         attr = getattr(spec, "attr", None)
-        if attr is not None and spec.etype in pred_types:
-            check_column(spec, sub.cols[attr][sub.etype == spec.etype])
-    return np.isin(sub.etype, list(pred_types))
+        if attr is not None and spec.etype in masks:
+            check_column(spec, sub.cols[attr], masks[spec.etype])
+    relevant = np.zeros(len(sub), bool)
+    for mask in masks.values():
+        relevant |= mask
+    return relevant
 
 
-def fold(agg, sub: Substream, trace: list | None = None):
-    """Feed the time-ordered substream ``sub`` into ``agg`` and return it.
+def window_runs(
+    sub: Substream, cq: CompiledQuery
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``(wids, s, t, events)`` for the group's time-ordered ``sub``: every
+    window that covers one of its events, in wid order, its events (the
+    slice ``[s, t)``) and its relevant-event count. ``check_substream``
+    runs once, from the first event that lies in some window. With no
+    window clause the whole group is wid 0, without window arithmetic."""
+    if cq.query.window is None:
+        if not len(sub):
+            return [], [], [], []
+        return [0], [0], [len(sub)], [int(check_substream(cq, sub).sum())]
+    wids, s, t = window_cuts(*window_plan(sub.time, cq.query.window))
+    if not len(wids):
+        return [], [], [], []
+    first = int(s[0])  # the events from here on lie in some window
+    relevant = np.concatenate([[0], np.cumsum(check_substream(cq, sub[first:]))])
+    events = relevant[t - first] - relevant[s - first]
+    return wids.tolist(), s.tolist(), t.tolist(), events.tolist()
 
-    ``trace`` (optional) receives one dict per event the aggregator
-    reports, reproducing the paper's Tables 5-7.
-    """
-    if trace is None:
-        if agg.columnar:
-            agg.scan(sub)
-            return agg
-        update = agg.update
-        for e in sub.rows():
-            update(e.etype, e.attrs)
+
+def fold(agg, sub: Substream):
+    """Feed the time-ordered substream ``sub`` into ``agg`` and return it."""
+    if agg.columnar:
+        agg.scan(sub)
         return agg
+    update = agg.update
     for e in sub.rows():
-        row = agg.trace_row(e.etype, agg.update(e.etype, e.attrs))
-        if row is not None:
-            trace.append({"etype": e.etype, "time": e.time, **row})
+        update(e.etype, e.attrs)
     return agg
 
 
 def aggregate_substream(
-    events: Substream | Sequence[Event],
-    cq: CompiledQuery,
-    *,
-    trace: list | None = None,
+    events: Substream | Sequence[Event], cq: CompiledQuery
 ) -> KernelResult:
-    """Incrementally aggregate the trends of one substream with the
-    coarsest-granularity Cogra aggregator selected for the query."""
-    return checked_fold(make_aggregator(cq), as_substream(events, cq), cq, trace=trace)
+    """Cogra's run over one substream: ``registry.run_approach("cogra",
+    events, cq)``."""
+    from repro.baselines.registry import run_approach  # registry imports executor
 
-
-def checked_fold(agg, sub: Substream, cq: CompiledQuery, *,
-                 trace: list | None = None) -> KernelResult:
-    """Check ``sub``'s attribute domains (``check_substream``, which
-    raises), fold it into ``agg`` (a fresh aggregator, or a window's
-    carried one) and return ``agg``'s aggregates, events processed and
-    peak state so far; ``kernel_seconds`` times the fold and result."""
-    check_substream(cq, sub)
-    t0 = time.perf_counter()
-    aggregates = fold(agg, sub, trace).result()
-    return KernelResult(aggregates, agg.events_processed, agg.meter.peak,
-                        time.perf_counter() - t0)
+    return run_approach("cogra", events, cq)

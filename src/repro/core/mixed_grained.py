@@ -152,40 +152,41 @@ class MixedGrainedAggregator:
                     self.final[i + 1] = specs[i].merge(self.final[i + 1], slots[i])
         return e_count
 
-    def scan_windows(
-        self, sub: Substream, lo: np.ndarray, hi: np.ndarray, wids: np.ndarray
-    ) -> list[dict]:
+    def scan_windows(self, sub: Substream, s: list[int], t: list[int]) -> list[dict]:
         """Algorithm 1 over every window of a group in one shared fold
-        (module docstring): the aggregates of each window of ``wids``, the
-        windows covering one of the time-ordered events of ``sub``, given
-        its ``windows.window_plan`` ``(lo, hi)``. T_e must be empty."""
+        (module docstring): the aggregates of each window, given as the
+        ascending slices ``[s, t)`` of the time-ordered ``sub``
+        (``executor.window_runs``). T_e must be empty."""
         if self.V:
             raise ValueError("the shared window fold is Algorithm 1 (T_e empty)")
         types = list(self.pred_types)
         code = {t: c for c, t in enumerate(types)}
-        idx = np.flatnonzero(np.isin(sub.etype, types) & (lo <= hi))
+        # Both slice bounds ascend, so event i lies in the k_i windows at
+        # the positions a_i.. of the slices: those with s <= i < t.
+        i = np.arange(len(sub))
+        a = np.searchsorted(t, i, "right")
+        k = np.searchsorted(s, i, "right") - a
+        idx = np.flatnonzero(np.isin(sub.etype, types) & (k > 0))
         etype = sub.etype[idx]
         tcode = np.zeros(len(idx), np.int64)
-        for t, c in code.items():
-            tcode[etype == t] = c
-        # Event j's k_j windows lo_j..hi_j are the positions a_j.. of wids;
-        # its (event, window) pairs, event-major, end before q_j.
-        a = np.searchsorted(wids, lo[idx])
-        k = hi[idx] - lo[idx] + 1
+        for ty, c in code.items():
+            tcode[etype == ty] = c
+        # Event j's (event, window) pairs, event-major, end before q_j.
+        a, k = a[idx], k[idx]
         q = np.cumsum(k)
         pairs = int(q[-1]) if len(q) else 0
         pos = np.repeat(a - q + k, k) + np.arange(pairs)
-        per_window = np.bincount(pos, minlength=len(wids))
-        m = int(per_window.max()) if len(wids) else 0
+        per_window = np.bincount(pos, minlength=len(s))
+        m = int(per_window.max()) if len(s) else 0
         dtype = object if m << m >= INT64_LIMIT else np.int64
 
         steps = list(zip(tcode.tolist(), a.tolist(), (a + k).tolist()))
         preds = [[code[p] for p in self.pred_types[t]] for t in types]
-        succs = [[code[s] for s in types if t in self.pred_types[s]] for t in types]
+        succs = [[code[u] for u in types if t in self.pred_types[u]] for t in types]
         starts = [int(t == self.start) for t in types]
         ends = [int(t == self.end) for t in types]
-        fwd = _vector_pass(steps, preds, starts, len(types), len(wids))
-        bwd = _vector_pass(steps[::-1], succs, ends, len(types), len(wids))[::-1]
+        fwd = _vector_pass(steps, preds, starts, len(types), len(s))
+        bwd = _vector_pass(steps[::-1], succs, ends, len(types), len(s))[::-1]
         fwd, bwd = (np.fromiter(chain.from_iterable(v), dtype, pairs) for v in (fwd, bwd))
 
         # Window-major: each window's pairs are one segment of ``cuts``.
@@ -204,18 +205,6 @@ class MixedGrainedAggregator:
             x = None if col is None else col[event[mask]]
             folded.append(spec.fold_segments(x, weight[mask], select_cuts(mask, cuts)))
         return [finalize_slots(self.specs, slots, f) for f, *slots in zip(final, *folded)]
-
-    def trace_row(self, etype: str, e_count):
-        """Table-6 columns after a matched event: e.count, the updated
-        count of its type (None if event-grained) and the final count."""
-        if e_count is None:
-            return None
-        node = self.H.get(etype)
-        return {
-            "e_count": e_count,
-            "type_count": None if node is None else node[0],
-            "final_count": self.H.get(self.end, self.final)[0],
-        }
 
     def result(self) -> dict:
         """Finalized aggregates (Lines 15-16)."""

@@ -208,11 +208,6 @@ class PatternGrainedAggregator:
         else:
             self._reset_partials()
 
-    def trace_row(self, etype: str, e_count):
-        """Table-7 columns after every arriving event, matched or not: the
-        last matched event's count and the final count."""
-        return {"e_count": self.el_count, "final_count": self.final_count}
-
     def result(self) -> dict:
         """Finalized aggregates (Line 10)."""
         return finalize_slots(self.specs, self.final_slots, self.final_count)

@@ -10,12 +10,12 @@ Pipeline (the relational stages in Catalyst, per the paper's executor):
    time once into a columnar ``Substream`` and hands it to
    ``registry.run_approach_windows``, which gives one ``KernelResult`` per
    covering window. Each window is a contiguous slice of the group
-   (``windows.window_plan`` and ``window_cuts``: Li et al.'s window ids,
-   without copying an event into every window that covers it). Cogra at
-   the TYPE granularity folds all the windows in one shared pass;
-   otherwise each window's slice runs the granularity-selected Cogra
-   aggregator (or a baseline): under CONT a scan of the columns, else the
-   group's ``Event`` rows, built once and sliced.
+   (``executor.window_runs``: Li et al.'s window ids, without copying an
+   event into every window that covers it). Cogra at the TYPE granularity
+   folds all the windows in one shared pass; otherwise each window's slice
+   runs the granularity-selected Cogra aggregator (or a baseline): under
+   CONT a scan of the columns, else the group's ``Event`` rows, built once
+   and sliced.
 4. **Aggregate** — the group's results become one DataFrame, column by
    column: the keys and wid, each aggregate rounded to a double
    (``rounded``), and the per-window metrics (events, peak state bytes,

@@ -2,13 +2,12 @@
 
 The stream takes the batch runner's path: the local filter and column
 select (``prepare_input``), one group per partition key, the group's
-events as one time-ordered ``Substream``, one contiguous slice per
-covering window (``windows.window_slices``), checked and folded by
-``executor.checked_fold``, and one output row per window
-(``window_frame``, batch's result schema). Unlike batch, every window's
-slice is folded into that window's carried aggregator, including at the
-TYPE granularity. Each micro-batch runs ``applyInPandasWithState`` once
-per key.
+events as one time-ordered ``Substream``, cut into its windows' slices
+after one domain check (``executor.window_runs``), and one output row per
+window (``window_frame``, batch's result schema). Unlike batch, every
+window's slice is folded into that window's carried aggregator, including
+at the TYPE granularity. Each micro-batch runs ``applyInPandasWithState``
+once per key.
 
 A key's state is one pickle of its open windows' Cogra aggregators
 (wid -> aggregator: Theta(l) values at the type granularity, O(1) at the
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import time
 from typing import Iterator
 
 import pandas as pd
@@ -48,7 +48,7 @@ from repro.core import executor
 from repro.core.events import Substream
 from repro.core.query import Query
 from repro.core.spark_runner import prepare_input, result_schema, window_frame
-from repro.core.windows import window_bounds, window_slices
+from repro.core.windows import window_bounds
 from repro.harness.metrics import KernelResult
 
 
@@ -80,10 +80,13 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
 
         def run(sub: Substream) -> list[tuple[int, KernelResult]]:
             out = []
-            for w, s, t in window_slices(sub.time, window):
+            for w, s, t, _ in zip(*executor.window_runs(sub, cq)):
                 if w not in aggs:
                     aggs[w] = executor.make_aggregator(cq)
-                out.append((w, executor.checked_fold(aggs[w], sub[s:t], cq)))
+                t0 = time.perf_counter()
+                agg = executor.fold(aggs[w], sub[s:t])
+                out.append((w, KernelResult(agg.result(), agg.events_processed,
+                                            agg.meter.peak, time.perf_counter() - t0)))
             return out
 
         rows = window_frame(key, on_time, cq, run, late)

@@ -6,14 +6,12 @@ An event at time ``t`` falls into ``size/slide`` consecutive windows
 [Li et al., SIGMOD'05]. ``window_plan`` is the one wid arithmetic of the
 runners: each event's window bounds as int64 arrays. From it,
 ``window_cuts`` gives every covering window of a group's time-ordered
-events as one contiguous slice, instead of copying an event into every
-window that covers it, and the shared window fold of Algorithm 1 places
-each event in its windows. ``with_window_ids`` still does that copy, one
-row per (event, window id *wid*), for the benchmark's fan-out count only.
+events as one contiguous slice (``executor.window_runs``), instead of
+copying an event into every window that covers it. ``with_window_ids``
+still does that copy, one row per (event, window id *wid*), for the
+benchmark's fan-out count only.
 """
 from __future__ import annotations
-
-from typing import Iterator, Sequence
 
 import numpy as np
 from pyspark.sql import Column, DataFrame
@@ -117,17 +115,6 @@ def window_cuts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     ends = np.cumsum(new)
     wids = np.repeat(first - ends + new, new) + np.arange(ends[-1] if len(ends) else 0)
     return wids, np.searchsorted(hi, wids, "left"), np.searchsorted(lo, wids, "right")
-
-
-def window_slices(
-    times: Sequence[float], window: WindowSpec | None
-) -> Iterator[tuple[int, int, int]]:
-    """``(wid, s, t)`` for every window that covers one of the ascending
-    ``times``: its events are the contiguous slice ``[s, t)``
-    (:func:`window_cuts`). With no window clause the whole input is
-    window 0."""
-    wids, s, t = window_cuts(*window_plan(times, window))
-    return zip(wids.tolist(), s.tolist(), t.tolist())
 
 
 def window_bounds(window: WindowSpec, wid: int) -> tuple[int, int]:

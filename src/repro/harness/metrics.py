@@ -87,8 +87,8 @@ class KernelResult:
     aggregates: dict = field(default_factory=dict)
     events_processed: int = 0
     peak_state_bytes: int = 0
-    # Timed by registry.run_approach and executor.checked_fold; on the
-    # shared window fold, an even share of the group's fold time
+    # Timed by registry.run_approach and the streaming runner's fold; on
+    # the shared window fold, an even share of the group's fold time
     # (registry.run_approach_windows).
     kernel_seconds: float = 0.0
     dnf: bool = False  # did-not-finish (budget exceeded)

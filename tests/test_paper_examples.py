@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines.bruteforce import enumerate_trends
 from repro.core.events import Event
-from repro.core.executor import aggregate_substream
+from repro.core.executor import make_aggregator
 from repro.core.granularity import Granularity, Semantics
 from repro.core.predicates import AdjacentPredicate
 from repro.core.query import Query
@@ -31,6 +31,20 @@ def fig2_stream(v: dict | None = None) -> list[Event]:
 PATTERN = "(SEQ(A+, B))+"
 
 
+def trace(cq, events, row):
+    """Fold ``events`` one by one with ``make_aggregator(cq).update`` and
+    read ``row(e, e_count, agg)`` right after each event ``e``, where
+    ``e_count`` is ``update``'s return value (e.count, None if unmatched).
+    Returns the rows that are not None and the aggregator."""
+    agg = make_aggregator(cq)
+    rows = [row(e, agg.update(e.etype, e.attrs), agg) for e in events]
+    return [r for r in rows if r is not None], agg
+
+
+def final_count(agg):
+    return agg.result()["count_star"]
+
+
 class TestTable5TypeGrained:
     """Table 5: e.count and type counts per event; final count 43."""
 
@@ -43,19 +57,19 @@ class TestTable5TypeGrained:
     def test_trace(self):
         cq = Query(pattern=PATTERN, semantics=Semantics.ANY).compile()
         assert cq.granularity is Granularity.TYPE
-        trace: list = []
-        res = aggregate_substream(fig2_stream(), cq, trace=trace)
-        got = [(r["etype"], r["e_count"], r["type_count"]) for r in trace]
+        got, agg = trace(cq, fig2_stream(), self.row)
         assert got == self.EXPECTED
-        assert res.aggregates["count_star"] == 43
+        assert final_count(agg) == 43
+
+    @staticmethod
+    def row(e, e_count, agg):
+        return None if e_count is None else (e.etype, e_count, agg.H[e.etype][0])
 
     def test_example5_arithmetic(self):
         """a7.count = A.count + B.count + 1 = 10 + 11 + 1 = 22."""
-        trace: list = []
         cq = Query(pattern=PATTERN, semantics=Semantics.ANY).compile()
-        aggregate_substream(fig2_stream(), cq, trace=trace)
-        a7 = trace[5]
-        assert a7["etype"] == "A" and a7["e_count"] == 22 and a7["type_count"] == 32
+        got, _ = trace(cq, fig2_stream(), self.row)
+        assert got[5] == ("A", 22, 32)  # a7: (etype, e.count, A.count)
 
 
 class TestTable6MixedGrained:
@@ -84,21 +98,23 @@ class TestTable6MixedGrained:
         assert cq.type_grained_types == frozenset({"A"})
 
     def test_trace(self):
-        trace: list = []
-        res = aggregate_substream(fig2_stream(self.VALUES), self.cq(), trace=trace)
-        got = [
-            (r["etype"], r["e_count"], r["type_count"], r["final_count"])
-            for r in trace
-        ]
+        got, agg = trace(self.cq(), fig2_stream(self.VALUES), self.row)
         assert got == self.EXPECTED
-        assert res.aggregates["count_star"] == 33
+        assert final_count(agg) == 33
+
+    @staticmethod
+    def row(e, e_count, agg):
+        """e.count, the updated count of its type (None if event-grained)
+        and the final count."""
+        if e_count is None:
+            return None
+        node = agg.H.get(e.etype)
+        return e.etype, e_count, None if node is None else node[0], final_count(agg)
 
     def test_example6_arithmetic(self):
         """a7.count = A.count + b2.count + 1 = 10 + 1 + 1 = 12."""
-        trace: list = []
-        aggregate_substream(fig2_stream(self.VALUES), self.cq(), trace=trace)
-        a7 = trace[5]
-        assert a7["etype"] == "A" and a7["e_count"] == 12
+        got, _ = trace(self.cq(), fig2_stream(self.VALUES), self.row)
+        assert got[5][:2] == ("A", 12)  # a7: (etype, e.count)
 
 
 class TestTable7PatternGrained:
@@ -121,11 +137,12 @@ class TestTable7PatternGrained:
     def test_trace(self, semantics, expected, final):
         cq = Query(pattern=PATTERN, semantics=semantics).compile()
         assert cq.granularity is Granularity.PATTERN
-        trace: list = []
-        res = aggregate_substream(fig2_stream(), cq, trace=trace)
-        got = [(r["etype"], r["e_count"], r["final_count"]) for r in trace]
+        # Every arriving event, matched or not: the last matched event's
+        # count and the final count.
+        got, agg = trace(cq, fig2_stream(),
+                         lambda e, _, agg: (e.etype, agg.el_count, final_count(agg)))
         assert got == expected
-        assert res.aggregates["count_star"] == final
+        assert final_count(agg) == final
 
 
 class TestFigure2Trends:

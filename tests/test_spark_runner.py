@@ -9,13 +9,13 @@ import pandas as pd
 import pytest
 
 from repro.baselines.registry import APPROACHES, run_approach, supports
+from repro.core import executor, windows
 from repro.core.aggregates import Avg, Count, CountType, Max, Min, Sum
-from repro.core.events import events_from_pandas
+from repro.core.events import Substream, events_from_pandas
 from repro.core.granularity import Semantics
 from repro.core.predicates import AdjacentPredicate, LocalPredicate
 from repro.core.query import Query, WindowSpec
 from repro.core.spark_runner import local_filter_expr, run_query
-from repro.core.windows import window_slices
 from repro.harness.runner import run_point
 
 
@@ -255,39 +255,75 @@ def test_window_slices_equal_explode_for_every_approach(spark, wname, semantics)
         _cmp(out, expected, ["grp", "wid"])
 
 
-def test_window_slices_match_wids_for():
-    """Each slice holds exactly the events whose ``wids_for`` contains its
-    wid, and the wids are those the explode emits, in order."""
+def test_window_slices_match_wids_for(monkeypatch):
+    """``executor.window_runs``: each slice holds exactly the events whose
+    ``wids_for`` contains its wid, the wids are those the explode emits,
+    in order, and each window's count is its relevant events. The domain
+    check runs once per call, from the first event that lies in some
+    window. Without a window clause the group is wid 0, with no window
+    arithmetic; an empty group has no windows."""
+    checked = []
+    check = executor.check_substream
+
+    def counting_check(cq, sub):
+        checked.append(len(sub))
+        return check(cq, sub)
+
+    monkeypatch.setattr(executor, "check_substream", counting_check)
     g = np.random.default_rng(3)
     for w in (*SLICE_WINDOWS.values(), WindowSpec(size=600, slide=30)):
+        cq = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY, window=w).compile()
         for _ in range(50):
             gaps = g.choice([0.0, 0.25, 1.0, w.slide, 3.0 * w.size], 30)
-            times = list(np.cumsum(gaps) + g.choice([0.0, w.slide]))
+            times = np.cumsum(gaps) + g.choice([0.0, w.slide, -w.size])
+            types = g.choice(list("ABZ"), 30).astype(object)
             want: dict[int, list[int]] = {}
-            for i, t in enumerate(times):
-                for k in w.wids_for(t):
+            for i, tm in enumerate(times.tolist()):
+                for k in w.wids_for(tm):
                     want.setdefault(k, []).append(i)
-            got = {k: list(range(s, t)) for k, s, t in window_slices(times, w)}
+            checked.clear()
+            wids, s, t, events = executor.window_runs(Substream(times, types, {}), cq)
+            got = {k: list(range(x, y)) for k, x, y in zip(wids, s, t)}
             assert got == want
-            assert list(got) == sorted(want)
-    assert list(window_slices([0.0, 5.5], None)) == [(0, 0, 2)]
-    assert list(window_slices([], WindowSpec(size=600, slide=30))) == []
+            assert wids == sorted(want)
+            assert events == [int((types[x:y] != "Z").sum()) for x, y in zip(s, t)]
+            first = min((i for ev in want.values() for i in ev), default=None)
+            assert checked == ([] if first is None else [len(times) - first])
+        empty = Substream(np.array([]), np.array([], object), {})
+        assert executor.window_runs(empty, cq) == ([], [], [], [])
+
+    def no_windows(*args):
+        raise AssertionError("window arithmetic without a window clause")
+
+    monkeypatch.setattr(windows, "_wid_floor", no_windows)
+    monkeypatch.setattr(executor, "window_plan", no_windows)
+    monkeypatch.setattr(executor, "window_cuts", no_windows)
+    cq = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY).compile()
+    sub = Substream(np.array([0.0, 5.5, 7.0]), np.array(["A", "Z", "B"], object), {})
+    checked.clear()
+    assert executor.window_runs(sub, cq) == ([0], [0], [3], [2])
+    assert checked == [3]
+    assert executor.window_runs(sub[:0], cq) == ([], [], [], [])
 
 
 def _fail_after_5s(signum, frame):
-    raise TimeoutError("window_slices walked the empty windows one by one")
+    raise TimeoutError("window_runs walked the empty windows one by one")
 
 
 def test_window_slices_jump_empty_windows():
     w = WindowSpec(size=600, slide=30)
+    cq = Query(pattern="SEQ(A+, B)", semantics=Semantics.ANY, window=w).compile()
+    sub = Substream(np.array([0, 10**12]), np.array(["A", "B"], object), {})
     handler = signal.signal(signal.SIGALRM, _fail_after_5s)
     signal.alarm(5)
     try:
-        got = list(window_slices([0, 10**12], w))
+        wids, s, t, events = executor.window_runs(sub, cq)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
+    got = list(zip(wids, s, t))
     assert got == [(0, 0, 1)] + [(k, 1, 2) for k in w.wids_for(10**12)]
+    assert events == [1] * len(got)
 
 
 def test_sparse_times_jump_empty_windows(spark):

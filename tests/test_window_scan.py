@@ -1,8 +1,9 @@
 """The shared window fold of Algorithm 1 (``MixedGrainedAggregator.
-scan_windows`` via ``registry.run_approach_windows``): one pass per group
-must give, for every window, exactly the row fold of that window's slice,
-tied timestamps included; on untied input also the brute-force oracle;
-and the same metric columns, without any per-window row work."""
+scan_windows`` via ``registry.run_approach_windows``) over the windows of
+``executor.window_runs``: one pass per group must give, for every window,
+exactly the row fold of that window's slice, tied timestamps included; on
+untied input also the brute-force oracle; and the same metric columns,
+without any per-window row work."""
 import random
 from types import SimpleNamespace
 
@@ -13,12 +14,12 @@ import pytest
 from repro.baselines import registry
 from repro.baselines.bruteforce import aggregate_bruteforce
 from repro.baselines.registry import APPROACHES, run_approach, run_approach_windows, supports
+from repro.core import executor
 from repro.core.aggregates import Count, CountType
 from repro.core.events import Event, Substream
 from repro.core.granularity import Granularity, Semantics
 from repro.core.query import Query, WindowSpec
 from repro.core.spark_runner import window_frame
-from repro.core.windows import window_slices
 from tests.test_kernels_vs_bruteforce import AGGS, PATTERNS, PRED_SETS
 
 WINDOWS = [WindowSpec(10, 5), WindowSpec(12, 4), WindowSpec(10, 10)]
@@ -37,9 +38,9 @@ def mkgroup(n: int, seed: int, tied: bool, floats: bool) -> list[Event]:
 
 
 def per_window_rows(events, cq):
-    """The row path: ``run_approach`` on each window's slice."""
-    times = [e.time for e in events]
-    return [(w, events[s:t]) for w, s, t in window_slices(times, cq.query.window)]
+    """The row path: each window's slice of ``events``, for ``run_approach``."""
+    wids, s, t, _ = executor.window_runs(Substream.from_events(events, cq.attr_cols), cq)
+    return [(w, events[x:y]) for w, x, y in zip(wids, s, t)]
 
 
 def cq_of(pattern, window, aggregates=AGGS):
@@ -87,8 +88,8 @@ def test_no_window_is_one_run_over_the_group(monkeypatch, sem, pred_key):
     def no_windows(*args):
         raise AssertionError("window arithmetic without a window clause")
 
-    monkeypatch.setattr(registry, "window_plan", no_windows)
-    monkeypatch.setattr(registry, "window_cuts", no_windows)
+    monkeypatch.setattr(executor, "window_plan", no_windows)
+    monkeypatch.setattr(executor, "window_cuts", no_windows)
     monkeypatch.setattr(registry, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     cq = Query(pattern="SEQ(A+, B)", semantics=sem, aggregates=AGGS,
                adjacent_predicates=PRED_SETS[pred_key]).compile()
@@ -141,8 +142,8 @@ def test_metric_columns_equal_the_row_path(monkeypatch):
     pdf = _pdf(3)
 
     def row_path(sub):
-        return [(w, run_approach("cogra", sub[s:t], cq))
-                for w, s, t in window_slices(sub.time, window)]
+        wids, s, t, _ = executor.window_runs(sub, cq)
+        return [(w, run_approach("cogra", sub[x:y], cq)) for w, x, y in zip(wids, s, t)]
 
     want = window_frame((), pdf, cq, row_path)
 
@@ -157,9 +158,9 @@ def test_metric_columns_equal_the_row_path(monkeypatch):
 
     clock = iter(range(1_000))  # each perf_counter() call is 1 s later
 
-    check = registry.check_substream
+    check = executor.check_substream
     monkeypatch.setattr(Substream, "rows", no_rows)
-    monkeypatch.setattr(registry, "check_substream", counting_check)
+    monkeypatch.setattr(executor, "check_substream", counting_check)
     monkeypatch.setattr(registry, "time",
                         SimpleNamespace(perf_counter=lambda: float(next(clock))))
     got = window_frame((), pdf, cq,
