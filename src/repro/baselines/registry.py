@@ -6,24 +6,26 @@ online vs two-step), so the harness can skip an approach on queries it
 does not support — exactly how the paper's charts omit unsupported
 combinations.
 
-``run_approach`` is the one entry point of every kernel run. It takes a
-:class:`~repro.core.events.Substream` (or a time-ordered ``Event`` list),
-checks the Table-9 envelope and, as column operations, the attribute
-domains and the relevant-event count (``executor.check_substream``),
-defaults the budget, times the run and turns an exhausted budget into a
-DNF row. A kernel only folds: ``run(sub, cq, res, budget)`` returns the
-aggregates, accounts its state in ``res.meter`` and, if it constructs
-trends, counts them in ``res.trends_constructed``. Cogra under CONT reads
-the substream's columns; every other kernel reads its ``Event`` rows,
-which are built before the clock starts.
-
-``run_approach_windows`` is its per-group form, the one the Spark runner
-calls: one ``KernelResult`` per window of ``executor.window_runs`` (the
+``run_approach_windows`` is the one entry point of every kernel run, the
+one the Spark runner calls. It takes one group's time-ordered
+:class:`~repro.core.events.Substream`, checks the Table-9 envelope, and
+returns one ``KernelResult`` per window of ``executor.window_runs`` (the
 group's covering windows as slices, their relevant-event counts, one
-domain check per group). Cogra at the TYPE granularity folds every window
-in one shared pass (``MixedGrainedAggregator.scan_windows``), and each
-window's ``kernel_seconds`` is an even share of that pass; every other
-run is ``run_approach``'s timed kernel call on each window's slice.
+domain check per group, as column operations). Cogra at the TYPE
+granularity folds every window in one shared pass
+(``MixedGrainedAggregator.scan_windows``), and each window's
+``kernel_seconds`` is an even share of that pass. Every other run is a
+timed kernel call on each window's slice, with a fresh budget; an
+exhausted budget is a DNF row. A kernel only folds: ``run(sub, cq, res,
+budget)`` returns the aggregates, accounts its state in ``res.meter``
+and, if it constructs trends, counts them in ``res.trends_constructed``.
+Cogra feeds its aggregator through ``fold(sub)``; under CONT it reads the
+substream's columns. Every other kernel reads the ``Event`` rows, which
+are built once per group before the clock starts.
+
+``run_approach`` is the one-window case: one substream (or a time-ordered
+``Event`` list) is window 0, with its own domain check, so it runs the
+same kernels as the batch runner, the shared pass included.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from repro.baselines.flink_like import run_flink_like
 from repro.baselines.greta import run_greta
 from repro.baselines.sase import run_sase
 from repro.core.events import Event, Substream
-from repro.core.executor import as_substream, check_substream, fold, make_aggregator, window_runs
+from repro.core.executor import check_substream, make_aggregator, window_runs
 from repro.core.granularity import Granularity, Semantics
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import Budget, BudgetExceeded, KernelResult
@@ -46,7 +48,7 @@ def run_cogra(
     sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Cogra: the coarsest-granularity aggregator; it needs no budget."""
-    agg = fold(make_aggregator(cq), sub)
+    agg = make_aggregator(cq).fold(sub)
     res.meter = agg.meter
     return agg.result()
 
@@ -148,14 +150,14 @@ def run_approach(
     *,
     budget: Budget | None = None,
 ) -> KernelResult:
-    """Run one approach over one substream, timing it end to end; a run
-    that exhausts its budget (or the interpreter's stack) is a DNF row."""
+    """Run one approach over one substream as window 0 of
+    ``run_approach_windows`` (module docstring); a run that exhausts its
+    budget (or the interpreter's stack) is a DNF row."""
     info = _info(name, cq)
-    sub = as_substream(events, cq)
-    relevant = int(check_substream(cq, sub).sum())
-    if cq.semantics not in info.columnar:
-        sub.rows()  # built once per group, outside the kernel's time
-    return _timed_run(info, sub, cq, relevant, budget or Budget())
+    if not isinstance(events, Substream):
+        events = Substream.from_events(events, cq.attr_cols)
+    runs = [0], [0], [len(events)], [int(check_substream(cq, events).sum())]
+    return _run_windows(info, events, cq, runs, lambda: budget or Budget())[0][1]
 
 
 def run_approach_windows(
@@ -168,11 +170,15 @@ def run_approach_windows(
     """Run one approach over every window of one group's time-ordered
     ``sub``: ``(wid, result)`` in wid order (module docstring). A window's
     run that exhausts its ``new_budget()`` is a DNF row."""
-    info = _info(name, cq)
-    wids, s, t, events = window_runs(sub, cq)
+    return _run_windows(_info(name, cq), sub, cq, window_runs(sub, cq), new_budget)
+
+
+def _run_windows(info: ApproachInfo, sub: Substream, cq: CompiledQuery, runs, new_budget):
+    """The kernel runs over the windows ``runs`` = ``(wids, s, t, events)``."""
+    wids, s, t, events = runs
     if not wids:
         return []
-    if name == "cogra" and cq.granularity is Granularity.TYPE:
+    if info.name == "cogra" and cq.granularity is Granularity.TYPE:
         agg = make_aggregator(cq)
         t0 = time.perf_counter()
         aggregates = agg.scan_windows(sub, s, t)

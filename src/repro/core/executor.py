@@ -1,23 +1,26 @@
 """Runtime Executor (paper Figure 3).
 
 ``make_aggregator`` builds the granularity-appropriate Cogra aggregator
-chosen by the Static Query Analyzer (Table 4), and ``fold`` feeds it one
-time-ordered :class:`~repro.core.events.Substream`. ``window_runs`` cuts a
+chosen by the Static Query Analyzer (Table 4). ``window_runs`` cuts a
 group's events into its (group, window) substreams, the one windowing
 step of both runners: each window that covers an event is a contiguous
 slice (``windows.window_plan`` and ``window_cuts``), and one domain check
 (``check_substream``) over the events that lie in some window counts each
-window's relevant events. The batch runner runs a kernel on each slice
+window's relevant events. The batch runner runs a kernel on each slice,
+or one shared pass over all of them at the TYPE granularity
 (``registry.run_approach_windows``); the Structured Streaming runner
 folds each slice into that window's carried aggregator.
 
-Every aggregator implements the same protocol: ``update(etype, attrs)``
-returns the event's e.count (None if unmatched), ``result()`` finalizes
-the aggregates, and ``events_processed`` and ``meter`` (a
-:class:`~repro.harness.metrics.StateMeter`) report its work and state.
-An aggregator with ``columnar`` set (Algorithm 3 under CONT) also folds a
-whole substream's columns with ``scan``; ``fold`` runs the others over the
-substream's ``Event`` rows.
+Every aggregator implements the same protocol: ``fold(sub)`` folds a
+time-ordered :class:`~repro.core.events.Substream` into its state and
+returns the aggregator, so folds of consecutive slices compose;
+``result()`` finalizes the aggregates, and ``meter`` (a
+:class:`~repro.harness.metrics.StateMeter`) reports its state. Each
+aggregator folds its own way: the row loop over ``sub.rows()`` (Algorithms
+1-2, and Algorithm 3 under NEXT) or a chunked scan of the columns
+(Algorithm 3 under CONT). ``update(etype, attrs)`` folds one event and
+returns its e.count (None if unmatched), the per-event view of the
+paper's Tables 5-7.
 """
 from __future__ import annotations
 
@@ -46,13 +49,6 @@ _AGGREGATORS = {
 def make_aggregator(cq: CompiledQuery):
     """Fresh incremental aggregator at the query's selected granularity."""
     return _AGGREGATORS[cq.granularity](cq)
-
-
-def as_substream(events: Substream | Sequence[Event], cq: CompiledQuery) -> Substream:
-    """``events`` itself, or the columns of a time-ordered ``Event`` list."""
-    if isinstance(events, Substream):
-        return events
-    return Substream.from_events(events, cq.attr_cols)
 
 
 def check_substream(cq: CompiledQuery, sub: Substream) -> np.ndarray:
@@ -90,17 +86,6 @@ def window_runs(
     relevant = np.concatenate([[0], np.cumsum(check_substream(cq, sub[first:]))])
     events = relevant[t - first] - relevant[s - first]
     return wids.tolist(), s.tolist(), t.tolist(), events.tolist()
-
-
-def fold(agg, sub: Substream):
-    """Feed the time-ordered substream ``sub`` into ``agg`` and return it."""
-    if agg.columnar:
-        agg.scan(sub)
-        return agg
-    update = agg.update
-    for e in sub.rows():
-        update(e.etype, e.attrs)
-    return agg
 
 
 def aggregate_substream(

@@ -22,6 +22,8 @@ of a predecessor type is adjacent (Definition 7), events are discarded
 immediately, the final count is end(P).count (Theorem 4.1), time is
 O(n*l) and space Theta(l) (Theorems 4.2-4.3). The executor therefore runs
 this one class for both the TYPE and the MIXED granularity of Table 4.
+:meth:`MixedGrainedAggregator.fold` is the row loop of ``update`` over a
+substream's ``Event`` rows.
 
 Algorithm 1 over a group's sliding windows is one shared fold
 (:meth:`MixedGrainedAggregator.scan_windows`, after Li et al.'s panes):
@@ -88,8 +90,6 @@ class MixedGrainedAggregator:
     events V for the predicate-restricted types T_e (Algorithm 1 when T_e
     is empty)."""
 
-    columnar = False  # the executor folds it over the rows
-
     def __init__(self, cq: CompiledQuery) -> None:
         self.specs = cq.specs
         self.preds = cq.adjacent_predicates
@@ -110,7 +110,6 @@ class MixedGrainedAggregator:
         # (Lines 14, 16). It is metered only when T_e is non-empty, so the
         # state of Algorithm 1 (T_e empty) is the Theta(l) store H alone.
         self.final = [0, *init_slots(self.specs)]
-        self.events_processed = 0
         self.meter = StateMeter()
         nodes = len(self.H) + bool(t_event)
         self.meter.add(nodes * (1 + len(self.specs)) * BYTES_PER_AGG)
@@ -120,7 +119,6 @@ class MixedGrainedAggregator:
         the event's type is irrelevant to the pattern."""
         if etype not in self.pred_types:
             return None
-        self.events_processed += 1
         specs = self.specs
         nslots = len(specs)
         e_count = 1 if etype == self.start else 0
@@ -151,6 +149,13 @@ class MixedGrainedAggregator:
                 for i in range(nslots):
                     self.final[i + 1] = specs[i].merge(self.final[i + 1], slots[i])
         return e_count
+
+    def fold(self, sub: Substream) -> MixedGrainedAggregator:
+        """``update`` over the time-ordered ``sub``, one row at a time."""
+        update = self.update
+        for e in sub.rows():
+            update(e.etype, e.attrs)
+        return self
 
     def scan_windows(self, sub: Substream, s: list[int], t: list[int]) -> list[dict]:
         """Algorithm 1 over every window of a group in one shared fold

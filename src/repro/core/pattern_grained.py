@@ -13,7 +13,7 @@ outside the pattern are irrelevant: skipped under NEXT, invalidating under
 CONT (the paper's c5 example). Time O(n), space O(1) (Theorems 6.3-6.4).
 
 Under CONT, e_l is always the previous event, so Algorithm 3 is a
-first-order recurrence, and :meth:`PatternGrainedAggregator.scan` folds a
+first-order recurrence, and :meth:`PatternGrainedAggregator.fold` folds a
 whole chunk of columns as a segmented prefix sum (Blelloch 1990):
 
 * ``c_i``: e_{i-1} may precede e_i — both relevant, a type edge of the
@@ -29,13 +29,13 @@ whole chunk of columns as a segmented prefix sum (Blelloch 1990):
 
 The chunk carries (e_l's type and attributes, e_l.count, e_l's slots, the
 final count and slots) in and out, so streaming micro-batches, window
-slices and single events compose: ``update`` under CONT is the same scan
-over one event. ``scan`` itself cuts its input into chunks of ``CHUNK``
+slices and single events compose: ``update`` under CONT is the ``fold``
+of one event. ``fold`` itself cuts its input into chunks of ``CHUNK``
 events and folds them through that carry, so its working set (about 25
 arrays and two Python-int lists per chunk) is O(CHUNK), not O(n).
 
 Under NEXT, e_l is the last *matched* event, which is not a first-order
-scan, so NEXT keeps the row loop.
+scan, so ``fold`` is the row loop of ``update`` over the ``Event`` rows.
 """
 from __future__ import annotations
 
@@ -52,8 +52,9 @@ from repro.harness.metrics import BYTES_PER_AGG, BYTES_PER_EVENT, StateMeter
 # computed before the scan, stays below this; beyond it, Python ints.
 INT64_LIMIT = 2**63
 
-# ``scan`` folds its input in positional chunks of this many events through
-# the carry, so its working set is O(CHUNK) whatever the substream's length.
+# Under CONT ``fold`` takes its input in positional chunks of this many
+# events through the carry, so its working set is O(CHUNK) whatever the
+# substream's length.
 CHUNK = 4096
 
 
@@ -76,7 +77,6 @@ class PatternGrainedAggregator:
         self.specs = cq.specs
         self.preds = cq.adjacent_predicates
         self.cont = cq.semantics is Semantics.CONT
-        self.columnar = self.cont  # the executor folds CONT with ``scan``
         self.attr_cols = cq.attr_cols
         an = cq.analysis
         self.start, self.end = an.start, an.end
@@ -88,7 +88,6 @@ class PatternGrainedAggregator:
         self.el_slots = init_slots(self.specs)
         self.final_count = 0
         self.final_slots = init_slots(self.specs)
-        self.events_processed = 0
         self.meter = StateMeter()
         self.meter.add(
             BYTES_PER_EVENT + 2 * (1 + len(self.specs)) * BYTES_PER_AGG
@@ -102,12 +101,11 @@ class PatternGrainedAggregator:
         """Process one event (Lines 2-9); returns its e.count if matched,
         None otherwise (skipped / invalidating)."""
         if self.cont:
-            self.scan(Substream.from_events([Event(0, 0, etype, attrs)], self.attr_cols))
+            self.fold(Substream.from_events([Event(0, 0, etype, attrs)], self.attr_cols))
             return self.el_count or None
         specs = self.specs
         if etype not in self.pred_types:
             return None  # irrelevant event type: skipped under NEXT
-        self.events_processed += 1
         adjacent = (
             self.el_type is not None
             and self.el_type in self.pred_types[etype]
@@ -131,11 +129,18 @@ class PatternGrainedAggregator:
             return count
         return None  # unmatched: skipped under NEXT
 
-    def scan(self, sub: Substream) -> None:
-        """Lines 2-9 under CONT over time-ordered events, one chunk of at
-        most ``CHUNK`` events at a time (module docstring)."""
-        for s in range(0, len(sub), CHUNK):
-            self._scan_chunk(sub[s : s + CHUNK])
+    def fold(self, sub: Substream) -> PatternGrainedAggregator:
+        """Lines 2-9 over the time-ordered ``sub``: under CONT one chunk of
+        at most ``CHUNK`` events at a time, under NEXT one row at a time
+        (module docstring)."""
+        if self.cont:
+            for s in range(0, len(sub), CHUNK):
+                self._scan_chunk(sub[s : s + CHUNK])
+            return self
+        update = self.update
+        for e in sub.rows():
+            update(e.etype, e.attrs)
+        return self
 
     def _scan_chunk(self, sub: Substream) -> None:
         """One chunk as one segmented scan of its columns."""
@@ -143,8 +148,6 @@ class PatternGrainedAggregator:
         if not n:
             return
         is_t = {t: sub.etype == t for t in self.pred_types}
-        relevant = np.logical_or.reduce(list(is_t.values()))
-        self.events_processed += int(relevant.sum())
 
         # c[i]: Line 3's adjacency of (e_{i-1}, e_i), short of "e_{i-1} is
         # matched", which count_{i-1} > 0 supplies below.
@@ -160,8 +163,8 @@ class PatternGrainedAggregator:
                             edge,
                         )
                 c[1:] |= edge
-        if self.el_type is not None and relevant[0]:
-            et = sub.etype[0]
+        et = sub.etype[0]
+        if self.el_type is not None and et in self.pred_types:
             c[0] = self.el_type in self.pred_types[et] and adjacency_holds(
                 self.preds, self.el_type, self.el_attrs, et, sub.attrs_at(0)
             )

@@ -5,13 +5,15 @@ select (``prepare_input``), one group per partition key, the group's
 events as one time-ordered ``Substream``, cut into its windows' slices
 after one domain check (``executor.window_runs``), and one output row per
 window (``window_frame``, batch's result schema). Unlike batch, every
-window's slice is folded into that window's carried aggregator, including
-at the TYPE granularity. Each micro-batch runs ``applyInPandasWithState``
-once per key.
+window's slice is folded into that window's carried aggregator with the
+aggregator's ``fold``, including at the TYPE granularity. Each
+micro-batch runs ``applyInPandasWithState`` once per key.
 
-A key's state is one pickle of its open windows' Cogra aggregators
-(wid -> aggregator: Theta(l) values at the type granularity, O(1) at the
-pattern granularity), its last event time and its late-event count.
+A key's state is one pickle of its open windows' Cogra aggregators and
+relevant-event counts so far (wid -> (aggregator, events): Theta(l)
+values at the type granularity, O(1) at the pattern granularity), its
+last event time and its late-event count. A micro-batch adds to a
+window's count the relevant events ``window_runs`` counts in its slice.
 After a micro-batch, a window that ends at or before the key's last time
 is closed: in-order input can add no event to it, and its final row has
 been emitted, so it leaves the state. A key thus keeps at most
@@ -80,12 +82,12 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
 
         def run(sub: Substream) -> list[tuple[int, KernelResult]]:
             out = []
-            for w, s, t, _ in zip(*executor.window_runs(sub, cq)):
-                if w not in aggs:
-                    aggs[w] = executor.make_aggregator(cq)
+            for w, s, t, n in zip(*executor.window_runs(sub, cq)):
+                agg, seen = aggs.get(w) or (executor.make_aggregator(cq), 0)
+                aggs[w] = agg, seen + n
                 t0 = time.perf_counter()
-                agg = executor.fold(aggs[w], sub[s:t])
-                out.append((w, KernelResult(agg.result(), agg.events_processed,
+                agg.fold(sub[s:t])
+                out.append((w, KernelResult(agg.result(), seen + n,
                                             agg.meter.peak, time.perf_counter() - t0)))
             return out
 

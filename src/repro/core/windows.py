@@ -83,16 +83,12 @@ def _wid_floor(x: np.ndarray, slide: int) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def window_plan(time, window: WindowSpec | None) -> tuple[np.ndarray, np.ndarray]:
+def window_plan(time, window: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)`` as int64 arrays: event ``i`` at ``time[i]`` lies in
     windows ``lo[i] .. hi[i]``, the bounds of :meth:`WindowSpec.wids_for`
     with the same arithmetic (:func:`_wid_floor`); in none when
-    ``hi[i] < lo[i]`` (a negative time). With no window clause every event
-    is in window 0."""
+    ``hi[i] < lo[i]`` (a negative time)."""
     t = np.asarray(time)
-    if window is None:
-        zero = np.zeros(len(t), np.int64)
-        return zero, zero
     if t.dtype.kind == "u":  # t - size must not wrap
         t = t.astype(object)
     lo = np.maximum(0, _wid_floor(t - window.size, window.slide) + 1)

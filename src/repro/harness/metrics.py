@@ -87,11 +87,11 @@ class KernelResult:
     aggregates: dict = field(default_factory=dict)
     events_processed: int = 0
     peak_state_bytes: int = 0
-    # Timed by registry.run_approach and the streaming runner's fold; on
-    # the shared window fold, an even share of the group's fold time
-    # (registry.run_approach_windows).
+    # Timed per window by registry.run_approach_windows and the streaming
+    # runner's fold; on the shared window fold, an even share of the
+    # group's fold time.
     kernel_seconds: float = 0.0
     dnf: bool = False  # did-not-finish (budget exceeded)
     trends_constructed: int = 0  # two-step approaches only
-    # The run's state accounting; registry.run_approach copies its peak.
+    # The run's state accounting; the registry copies its peak.
     meter: StateMeter = field(default_factory=StateMeter, repr=False, compare=False)

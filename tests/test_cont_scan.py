@@ -30,7 +30,7 @@ from repro.core.aggregates import (
     init_slots,
 )
 from repro.core.events import Event, Substream
-from repro.core.executor import check_substream, fold, make_aggregator
+from repro.core.executor import check_substream, make_aggregator
 from repro.core.granularity import Semantics
 from repro.core.predicates import AdjacentPredicate, adjacency_holds
 from repro.core.query import Query
@@ -94,7 +94,7 @@ def scan(pdf, cq, chunks=()) -> dict:
     agg = make_aggregator(cq)
     cuts = [0, *chunks, len(sub)]
     for s, t in zip(cuts, cuts[1:]):
-        fold(agg, sub[s:t])
+        agg.fold(sub[s:t])
     return agg.result()
 
 
@@ -170,7 +170,7 @@ def test_chunks_compose_at_every_cut(pattern, preds):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_scan_chunks_equal_the_one_chunk_scan(monkeypatch, pattern, chunk):
-    """``scan`` cuts its input into chunks of ``CHUNK`` events; whatever
+    """``fold`` cuts its input into chunks of ``CHUNK`` events; whatever
     the length, the carry composes them into the one-chunk result."""
     cq = cq_of(pattern, PRED_SETS["offset"])
     for seed in range(4):
@@ -195,13 +195,13 @@ def test_fold_memory_is_bounded_by_the_chunk(monkeypatch):
             "v": rng.uniform(0, 100, n)}), attr_cols=cq.attr_cols)
         tracemalloc.start()
         try:
-            results[n] = fold(make_aggregator(cq), sub).result()
+            results[n] = make_aggregator(cq).fold(sub).result()
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         with monkeypatch.context() as m:
             m.setattr(pattern_grained, "CHUNK", n)
-            assert fold(make_aggregator(cq), sub).result() == results[n]
+            assert make_aggregator(cq).fold(sub).result() == results[n]
     assert peaks[100_000] <= 1.5 * peaks[10_000], peaks
 
 
@@ -320,11 +320,9 @@ def test_update_is_the_scan_of_one_event():
     counts = [agg.update(e.etype, e.attrs) for e in events]
     assert all(c is None or c > 0 for c in counts)
     whole = make_aggregator(cq)
-    fold(whole, Substream.from_events(events, cq.attr_cols))
-    assert (agg.el_type, agg.el_attrs, agg.el_count, agg.el_slots, agg.final_count,
-            agg.events_processed) == (whole.el_type, whole.el_attrs, whole.el_count,
-                                      whole.el_slots, whole.final_count,
-                                      whole.events_processed)
+    whole.fold(Substream.from_events(events, cq.attr_cols))
+    assert (agg.el_type, agg.el_attrs, agg.el_count, agg.el_slots, agg.final_count) == (
+        whole.el_type, whole.el_attrs, whole.el_count, whole.el_slots, whole.final_count)
     assert agg.result() == whole.result() == row_fold(events, cq)
 
 
