@@ -18,17 +18,13 @@ linearly for single-path flattenings such as ``A+`` or ``SEQ(A+, B)``
 (the paper's Figure-8 observation: "memory usage of A-Seq grows linearly
 with the number of queries, i.e. with the number of events").
 
-The prefix cells carry the full Table-8 slot algebra, so A-Seq supports
-the same aggregation functions on its supported query class.
+Each prefix cell holds one node ``[count, *slots]`` of the Table-8
+algebra (:mod:`repro.core.aggregates`), so A-Seq supports the same
+aggregation functions on its supported query class.
 """
 from __future__ import annotations
 
-from repro.core.aggregates import (
-    apply_event_slots,
-    finalize_slots,
-    init_slots,
-    merge_slots,
-)
+from repro.core.aggregates import absorb, extend, finalize, new_node
 from repro.core.events import Substream
 from repro.core.query import CompiledQuery
 from repro.harness.metrics import BYTES_PER_AGG, Budget, KernelResult
@@ -38,75 +34,53 @@ def run_aseq(
     sub: Substream, cq: CompiledQuery, res: KernelResult, budget: Budget
 ) -> dict:
     """Flattened prefix-trie workload over one substream."""
-    events = sub.rows()
     meter = res.meter
     an = cq.analysis
     specs = cq.specs
-    nslots = len(specs)
-    relevant = [e for e in events if e.etype in an.pred_types]
+    relevant = [e for e in sub.rows() if e.etype in an.pred_types]
     n = len(relevant)
 
-    # Trie node: [etype, parent_index, count, slot_0..slot_{k-1}].
-    # Node 0 is the virtual root (count 1: "one way to match nothing").
-    CELL0 = 3  # offset of slot_0 within a node row
-    nodes: list[list] = [[None, -1, 1, *init_slots(specs)]]
+    # Trie cell: (etype, parent index, node). Cell 0 is the virtual root
+    # (count 1: "one way to match nothing").
+    cells: list[tuple] = [(None, -1, new_node(specs, 1))]
     by_type: dict[str, list[int]] = {t: [] for t in an.pred_types}
     finals: list[int] = []
 
     # Build the flattened workload up to the longest possible match
     # length (= number of relevant events), breadth-first so parents
     # precede children.
-    frontier = []
-    if n >= 1:
-        nodes.append([an.start, 0, 0, *init_slots(specs)])
-        by_type[an.start].append(1)
-        frontier = [1]
-        if an.start == an.end:
-            finals.append(1)
-        meter.add((1 + nslots) * BYTES_PER_AGG)
-        budget.charge(1)
-    for _depth in range(2, n + 1):
+    frontier = [0]
+    for depth in range(1, n + 1):
         nxt = []
         for pi in frontier:
-            ptype = nodes[pi][0]
-            for t in an.succ_types[ptype]:
-                ni = len(nodes)
-                nodes.append([t, pi, 0, *init_slots(specs)])
-                by_type[t].append(ni)
+            for t in [an.start] if depth == 1 else an.succ_types[cells[pi][0]]:
+                ci = len(cells)
+                cells.append((t, pi, new_node(specs, 0)))
+                by_type[t].append(ci)
                 if t == an.end:
-                    finals.append(ni)
-                nxt.append(ni)
-                meter.add((1 + nslots) * BYTES_PER_AGG)
+                    finals.append(ci)
+                nxt.append(ci)
+                meter.add((1 + len(specs)) * BYTES_PER_AGG)
                 budget.charge(1)
         frontier = nxt
 
     # Online phase: an event of type t advances every prefix cell
-    # labelled t from its parent cell. Children were appended after
+    # labelled t from its parent cell: the parent's node, extended by the
+    # event, is absorbed into the cell. Children were appended after
     # parents, so iterating the per-type list in reverse prevents an
     # event from chaining with itself inside one workload query.
     for e in relevant:
-        attrs = e.attrs
-        et = e.etype
-        for ni in reversed(by_type[et]):
+        for ci in reversed(by_type[e.etype]):
             budget.charge(1)
-            node = nodes[ni]
-            parent = nodes[node[1]]
-            p_count = parent[2]
-            if p_count == 0:
+            _, pi, node = cells[ci]
+            parent = cells[pi][2]
+            if parent[0] == 0:
                 continue
-            slots = init_slots(specs)
-            if nslots:
-                merge_slots(specs, slots, parent[CELL0:])
-            apply_event_slots(specs, slots, et, attrs, p_count)
-            node[2] += p_count
-            for i in range(nslots):
-                node[CELL0 + i] = specs[i].merge(node[CELL0 + i], slots[i])
+            step = list(parent)
+            extend(specs, step, e.etype, e.attrs)
+            absorb(specs, node, step)
 
-    final_count = 0
-    final_slots = init_slots(specs)
-    for ni in finals:
-        node = nodes[ni]
-        final_count += node[2]
-        for i in range(nslots):
-            final_slots[i] = specs[i].merge(final_slots[i], node[CELL0 + i])
-    return finalize_slots(specs, final_slots, final_count)
+    final = new_node(specs, 0)
+    for ci in finals:
+        absorb(specs, final, cells[ci][2])
+    return finalize(specs, final)

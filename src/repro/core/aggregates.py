@@ -6,14 +6,27 @@ MIN/MAX(E.attr) and SUM(E.attr): events of type ``E`` *update* the
 aggregate, all other matched events *propagate* it along the trend digraph.
 AVG(E.attr) = SUM(E.attr) / COUNT(E).
 
-All three Cogra aggregators (and the GRETA baseline) share this module.
-An aggregator node (a matched event, an event type, or the pattern-grained
-last-event chain) carries
+All three Cogra aggregators, GRETA and A-Seq share this module. An
+aggregator node (an event type, a stored event, the last matched event
+e_l, a prefix cell, or the final aggregates) is the list
 
-* ``count`` — the number of (partial) trends ending at that node, and
-* one *slot value* per :class:`AggSpec`.
+    ``[count, slot_1, ..., slot_k]``
 
-Each spec implements the Table-8 algebra on its slot:
+of the number of (partial) trends ending at that node and one *slot
+value* per :class:`AggSpec`, in query order. The kernels build, merge and
+read nodes only through four helpers:
+
+* ``new_node(specs, count)`` — a node of ``count`` trends and no values,
+* ``absorb(specs, dst, src)`` — dst ⊕= src: the counts add, the slots merge,
+* ``extend(specs, node, etype, attrs)`` — apply a matched event to its
+  merged predecessors, with trend count ``node[0]`` (e.count),
+* ``finalize(specs, node)`` — the named result row of an end node.
+
+``new_node(specs, 0)`` is the identity of ``absorb``, ``absorb`` is
+commutative and associative, and ``extend`` distributes over ``absorb``,
+so merging predecessors in any order before one ``extend`` is exact
+(``tests/test_aggregates.py`` checks these laws). Each spec implements
+the Table-8 algebra on its own slot:
 
 * ``init_val``  — value for "no trend reaches this node yet",
 * ``merge``     — combine slot values of several predecessor nodes,
@@ -68,7 +81,7 @@ class AggSpec:
     def on_event(self, val, etype: str, attrs: Mapping, trend_count):
         raise NotImplementedError
 
-    def finalize(self, val, final_count):
+    def finalize(self, val, count):
         raise NotImplementedError
 
     def fold_segments(self, x: np.ndarray | None, w: np.ndarray, cuts: np.ndarray) -> list:
@@ -93,13 +106,13 @@ class Count(AggSpec):
         return 0
 
     def merge(self, a, b):
-        return a  # unused: COUNT(*) rides on the shared node count
+        return a  # the slot stays 0: COUNT(*) is the node's count, node[0]
 
     def on_event(self, val, etype, attrs, trend_count):
         return val
 
-    def finalize(self, val, final_count):
-        return final_count
+    def finalize(self, val, count):
+        return count
 
     def fold_segments(self, x, w, cuts):
         return [0] * (len(cuts) - 1)
@@ -129,7 +142,7 @@ class CountType(AggSpec):
         # (val already holds the predecessor sum when this is called).
         return val + trend_count if etype == self.etype else val
 
-    def finalize(self, val, final_count):
+    def finalize(self, val, count):
         return val
 
     def fold_segments(self, x, w, cuts):
@@ -167,7 +180,7 @@ class _Extremum(AggSpec):
         # not contribute (it has no adjacent predecessor yet).
         return self.merge(val, x) if trend_count else val
 
-    def finalize(self, val, final_count):
+    def finalize(self, val, count):
         return val
 
     def fold_segments(self, x, w, cuts):
@@ -328,7 +341,7 @@ class Sum(AggSpec):
             return _add(*val, m * trend_count, k)
         return val
 
-    def finalize(self, val, final_count):
+    def finalize(self, val, count):
         s = Fraction(val[0], 1 << val[1])
         return s.numerator if s.denominator == 1 else s
 
@@ -366,7 +379,7 @@ class Avg(AggSpec):
             return (*_add(val[0], val[1], m * trend_count, k), val[2] + trend_count)
         return val
 
-    def finalize(self, val, final_count):
+    def finalize(self, val, count):
         num, k, c = val
         # One correctly rounded int / int division.
         return None if c == 0 else num / (c << k)
@@ -419,29 +432,30 @@ def check_column(spec: AggSpec, col: np.ndarray, mask: np.ndarray) -> None:
             one(spec, col[bad[0]].item())  # raises
 
 
-def init_slots(specs: tuple[AggSpec, ...]) -> list:
-    """Fresh slot vector for a node no trend reaches yet."""
-    return [s.init_val() for s in specs]
+def new_node(specs: tuple[AggSpec, ...], count) -> list:
+    """A node of ``count`` trends that no matched event has updated yet:
+    ``[count, *init_val]``. ``new_node(specs, 0)`` is the identity of
+    :func:`absorb`."""
+    return [count] + [s.init_val() for s in specs]
 
 
-def merge_slots(specs: tuple[AggSpec, ...], dst: list, src: list) -> None:
-    """In-place: dst <- merge(dst, src), slot-wise."""
-    for i, s in enumerate(specs):
+def absorb(specs: tuple[AggSpec, ...], dst: list, src: list) -> None:
+    """In place: dst <- dst ⊕ src. The trend counts add and each slot
+    merges; the order of absorbed nodes does not matter."""
+    dst[0] += src[0]
+    for i, s in enumerate(specs, 1):
         dst[i] = s.merge(dst[i], src[i])
 
 
-def apply_event_slots(
-    specs: tuple[AggSpec, ...],
-    slots: list,
-    etype: str,
-    attrs: Mapping,
-    trend_count,
-) -> None:
-    """In-place Table-8 event application to a merged predecessor vector."""
-    for i, s in enumerate(specs):
-        slots[i] = s.on_event(slots[i], etype, attrs, trend_count)
+def extend(specs: tuple[AggSpec, ...], node: list, etype: str, attrs: Mapping) -> None:
+    """In place: Table 8's update of ``node``, the merged predecessors of a
+    matched event, by that event; ``node[0]`` is its trend count e.count."""
+    count = node[0]
+    for i, s in enumerate(specs, 1):
+        node[i] = s.on_event(node[i], etype, attrs, count)
 
 
-def finalize_slots(specs: tuple[AggSpec, ...], slots: list, final_count) -> dict:
-    """Named result row from the end node's slots and the final count."""
-    return {s.name: s.finalize(slots[i], final_count) for i, s in enumerate(specs)}
+def finalize(specs: tuple[AggSpec, ...], node) -> dict:
+    """Named result row of an end node (a list or a tuple)."""
+    count = node[0]
+    return {s.name: s.finalize(node[i], count) for i, s in enumerate(specs, 1)}

@@ -13,8 +13,10 @@ aggregate per type.
             (+1 if E = start(P))
 
 and analogously for the other aggregation functions via the Table-8
-algebra in :mod:`repro.core.aggregates`. Time O(n*(t + n_e)), space
-Theta(t + n_e) (Theorems 5.2-5.3).
+algebra in :mod:`repro.core.aggregates`: each type in H, each stored
+event in V and the final aggregates is one node ``[count, *slots]``, a
+new event's node absorbs its predecessors' nodes and is then extended by
+the event. Time O(n*(t + n_e)), space Theta(t + n_e) (Theorems 5.2-5.3).
 
 With no predicates on adjacent events T_e is empty and this is exactly
 Algorithm 1, the type-grained aggregator: every previously matched event
@@ -53,10 +55,10 @@ from itertools import chain
 import numpy as np
 
 from repro.core.aggregates import (
-    apply_event_slots,
-    finalize_slots,
-    init_slots,
-    merge_slots,
+    absorb,
+    extend,
+    finalize,
+    new_node,
     segment_sums,
     select_cuts,
 )
@@ -97,19 +99,17 @@ class MixedGrainedAggregator:
         self.start, self.end = an.start, an.end
         self.pred_types = {t: tuple(s) for t, s in an.pred_types.items()}
         t_event = cq.event_grained_types  # T_e (Lines 3-4: removed from H)
-        # H: type-grained store over T_t (Lines 1-2).
+        # H: type-grained store over T_t, one node per type (Lines 1-2).
         self.H: dict[str, list] = {
-            t: [0, *init_slots(self.specs)]
-            for t in an.types
-            if t not in t_event
+            t: new_node(self.specs, 0) for t in an.types if t not in t_event
         }
-        # V: stored events per event-grained type: list of
-        # (attrs, count, slots) in arrival order (Lines 9-10).
+        # V: stored events per event-grained type: list of (attrs, node)
+        # in arrival order (Lines 9-10).
         self.V: dict[str, list] = {t: [] for t in t_event}
-        # Separate final accumulator, used when end(P) is event-grained
-        # (Lines 14, 16). It is metered only when T_e is non-empty, so the
-        # state of Algorithm 1 (T_e empty) is the Theta(l) store H alone.
-        self.final = [0, *init_slots(self.specs)]
+        # Separate final node, used when end(P) is event-grained (Lines
+        # 14, 16). It is metered only when T_e is non-empty, so the state
+        # of Algorithm 1 (T_e empty) is the Theta(l) store H alone.
+        self.final = new_node(self.specs, 0)
         self.meter = StateMeter()
         nodes = len(self.H) + bool(t_event)
         self.meter.add(nodes * (1 + len(self.specs)) * BYTES_PER_AGG)
@@ -120,35 +120,25 @@ class MixedGrainedAggregator:
         if etype not in self.pred_types:
             return None
         specs = self.specs
-        nslots = len(specs)
-        e_count = 1 if etype == self.start else 0
-        slots = init_slots(specs)
+        node = new_node(specs, 1 if etype == self.start else 0)
         for ep in self.pred_types[etype]:
-            node = self.H.get(ep)
-            if node is not None:  # Line 8: type-grained predecessor
-                e_count += node[0]
-                if nslots:
-                    merge_slots(specs, slots, node[1:])
+            pred = self.H.get(ep)
+            if pred is not None:  # Line 8: type-grained predecessor
+                absorb(specs, node, pred)
             else:  # Lines 9-10: stored predecessor events, theta-checked
-                for p_attrs, p_count, p_slots in self.V[ep]:
+                for p_attrs, p_node in self.V[ep]:
                     if adjacency_holds(self.preds, ep, p_attrs, etype, attrs):
-                        e_count += p_count
-                        if nslots:
-                            merge_slots(specs, slots, p_slots)
-        apply_event_slots(specs, slots, etype, attrs, e_count)
-        node = self.H.get(etype)
-        if node is not None:  # Lines 11-13
-            node[0] += e_count
-            for i in range(nslots):
-                node[i + 1] = specs[i].merge(node[i + 1], slots[i])
+                        absorb(specs, node, p_node)
+        extend(specs, node, etype, attrs)
+        own = self.H.get(etype)
+        if own is not None:  # Lines 11-13
+            absorb(specs, own, node)
         else:
-            self.V[etype].append((attrs, e_count, slots))
-            self.meter.add(BYTES_PER_EVENT + (1 + nslots) * BYTES_PER_AGG)
+            self.V[etype].append((attrs, node))
+            self.meter.add(BYTES_PER_EVENT + (1 + len(specs)) * BYTES_PER_AGG)
             if etype == self.end:  # Line 14
-                self.final[0] += e_count
-                for i in range(nslots):
-                    self.final[i + 1] = specs[i].merge(self.final[i + 1], slots[i])
-        return e_count
+                absorb(specs, self.final, node)
+        return node[0]
 
     def fold(self, sub: Substream) -> MixedGrainedAggregator:
         """``update`` over the time-ordered ``sub``, one row at a time."""
@@ -171,11 +161,11 @@ class MixedGrainedAggregator:
         i = np.arange(len(sub))
         a = np.searchsorted(t, i, "right")
         k = np.searchsorted(s, i, "right") - a
-        idx = np.flatnonzero(np.isin(sub.etype, types) & (k > 0))
-        etype = sub.etype[idx]
-        tcode = np.zeros(len(idx), np.int64)
+        tcode = np.full(len(sub), -1, np.int64)  # -1: not a pattern type
         for ty, c in code.items():
-            tcode[etype == ty] = c
+            tcode[sub.etype == ty] = c
+        idx = np.flatnonzero((tcode >= 0) & (k > 0))
+        tcode = tcode[idx]
         # Event j's (event, window) pairs, event-major, end before q_j.
         a, k = a[idx], k[idx]
         q = np.cumsum(k)
@@ -209,9 +199,8 @@ class MixedGrainedAggregator:
             col = sub.cols.get(getattr(spec, "attr", None))  # None: a COUNT
             x = None if col is None else col[event[mask]]
             folded.append(spec.fold_segments(x, weight[mask], select_cuts(mask, cuts)))
-        return [finalize_slots(self.specs, slots, f) for f, *slots in zip(final, *folded)]
+        return [finalize(self.specs, node) for node in zip(final, *folded)]
 
     def result(self) -> dict:
         """Finalized aggregates (Lines 15-16)."""
-        end_node = self.H.get(self.end, self.final)
-        return finalize_slots(self.specs, end_node[1:], end_node[0])
+        return finalize(self.specs, self.H.get(self.end, self.final))

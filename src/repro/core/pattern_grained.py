@@ -5,7 +5,7 @@ event has at most one predecessor event (Theorem 6.1), so only the last
 matched event and two aggregates are kept:
 
     e.count = e_l.count  if (e_l, e) adjacent   (+1 if E = start(P))
-    final_count += e.count  when E = end(P)
+    final.count += e.count  when E = end(P)
 
 Under CONT, an arriving event that is *not* matched invalidates all
 partial trends (e_l := null); under NEXT it is skipped. Events of types
@@ -21,18 +21,19 @@ whole chunk of columns as a segmented prefix sum (Blelloch 1990):
   Segments are the runs cut by ``~c``, i.e. ``cumsum(~c)``.
 * ``count_i = [E_i = start] + c_i * count_{i-1}``: a segmented cumsum of
   the start events; e_i is matched iff ``count_i > 0``.
-* ``final_count += sum of count_i`` over end-type events.
+* ``final.count += sum of count_i`` over end-type events.
 * COUNT(E), SUM and AVG are dot products with the integer weights
   ``count_j * W_j``, where ``W_j`` is the number of end events at or after
   j in j's segment; MIN/MAX take the extremum over E-events with
   ``count_j * W_j > 0`` (``AggSpec.fold_column``).
 
-The chunk carries (e_l's type and attributes, e_l.count, e_l's slots, the
-final count and slots) in and out, so streaming micro-batches, window
-slices and single events compose: ``update`` under CONT is the ``fold``
-of one event. ``fold`` itself cuts its input into chunks of ``CHUNK``
-events and folds them through that carry, so its working set (about 25
-arrays and two Python-int lists per chunk) is O(CHUNK), not O(n).
+The chunk carries e_l's type, attributes and node ``[count, *slots]``
+(:mod:`repro.core.aggregates`), plus the final node, in and out, so
+streaming micro-batches, window slices and single events compose:
+``update`` under CONT is the ``fold`` of one event. ``fold`` itself cuts
+its input into chunks of ``CHUNK`` events and folds them through that
+carry, so its working set (about 25 arrays and two Python-int lists per
+chunk) is O(CHUNK), not O(n).
 
 Under NEXT, e_l is the last *matched* event, which is not a first-order
 scan, so ``fold`` is the row loop of ``update`` over the ``Event`` rows.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.aggregates import apply_event_slots, finalize_slots, init_slots
+from repro.core.aggregates import absorb, extend, finalize, new_node
 from repro.core.events import Event, Substream
 from repro.core.granularity import Semantics
 from repro.core.predicates import adjacency_holds
@@ -68,8 +69,8 @@ def count_dtype(n: int, longest: int, carry: int):
 
 
 class PatternGrainedAggregator:
-    """Incremental Algorithm 3: O(1) state — the last matched event, its
-    aggregates, and the final aggregates."""
+    """Incremental Algorithm 3: O(1) state — the last matched event e_l,
+    its node ``el``, and the ``final`` node."""
 
     def __init__(self, cq: CompiledQuery) -> None:
         if cq.semantics not in (Semantics.NEXT, Semantics.CONT):
@@ -84,25 +85,19 @@ class PatternGrainedAggregator:
         # Line 1: e_l = null, counts = 0.
         self.el_type: str | None = None
         self.el_attrs: dict = {}
-        self.el_count = 0
-        self.el_slots = init_slots(self.specs)
-        self.final_count = 0
-        self.final_slots = init_slots(self.specs)
+        self.el = new_node(self.specs, 0)
+        self.final = new_node(self.specs, 0)
         self.meter = StateMeter()
         self.meter.add(
             BYTES_PER_EVENT + 2 * (1 + len(self.specs)) * BYTES_PER_AGG
         )
-
-    def _reset_partials(self) -> None:
-        self.el_type, self.el_attrs, self.el_count = None, {}, 0
-        self.el_slots = init_slots(self.specs)
 
     def update(self, etype: str, attrs: dict):
         """Process one event (Lines 2-9); returns its e.count if matched,
         None otherwise (skipped / invalidating)."""
         if self.cont:
             self.fold(Substream.from_events([Event(0, 0, etype, attrs)], self.attr_cols))
-            return self.el_count or None
+            return self.el[0] or None
         specs = self.specs
         if etype not in self.pred_types:
             return None  # irrelevant event type: skipped under NEXT
@@ -113,20 +108,14 @@ class PatternGrainedAggregator:
         )
         started = etype == self.start
         if started or adjacent:  # isMatched (Line 3)
-            count = 1 if started else 0
-            if adjacent:
-                count += self.el_count
-            slots = list(self.el_slots) if adjacent else init_slots(specs)
-            apply_event_slots(specs, slots, etype, attrs, count)
+            node = list(self.el) if adjacent else new_node(specs, 0)
+            if started:
+                node[0] += 1
+            extend(specs, node, etype, attrs)
             if etype == self.end:  # Line 6
-                self.final_count += count
-                for i in range(len(specs)):
-                    self.final_slots[i] = specs[i].merge(
-                        self.final_slots[i], slots[i]
-                    )
-            self.el_type, self.el_attrs = etype, attrs  # Line 7
-            self.el_count, self.el_slots = count, slots
-            return count
+                absorb(specs, self.final, node)
+            self.el_type, self.el_attrs, self.el = etype, attrs, node  # Line 7
+            return node[0]
         return None  # unmatched: skipped under NEXT
 
     def fold(self, sub: Substream) -> PatternGrainedAggregator:
@@ -174,7 +163,7 @@ class PatternGrainedAggregator:
         starts = np.flatnonzero(~c)
         seg = np.cumsum(~c)
         stops = np.append(starts, n)  # stops[k]: end of segment k
-        carry = self.el_count if c[0] else 0
+        carry = self.el[0] if c[0] else 0
         dtype = count_dtype(n, int(np.diff(stops, prepend=0).max()), carry)
 
         s = is_t[self.start].astype(np.int64).astype(dtype)
@@ -184,33 +173,32 @@ class PatternGrainedAggregator:
         ends = is_t[self.end]
         ce = np.concatenate([[0], np.cumsum(ends)])
         w = count * (ce[stops[seg]] - ce[:-1])  # count_j * W_j
-        self.final_count += int(count[ends].sum())
+        self.final[0] += int(count[ends].sum())
 
         # Slots: the final ones gain the chunk's end events' trends and, once
-        # per end event in segment 0, e_l's slots (Line 6); the carried ones
-        # are those of the last event, if it is matched (Line 7).
+        # per end event in segment 0, e_l's slots (Line 6); the new e_l node
+        # is the last event's, if it is matched (Line 7).
         first_ends = int(ce[stops[0]])
         matched = count[-1] > 0
         lo = int(starts[-1]) if len(starts) else 0  # the last segment
         nowhere = np.zeros(n, dtype=bool)
-        el_slots = []
-        for i, spec in enumerate(self.specs):
+        el = [int(count[-1])]
+        for i, spec in enumerate(self.specs, 1):
             mask = is_t.get(getattr(spec, "etype", None), nowhere)
             col = sub.cols.get(getattr(spec, "attr", None))  # None: a COUNT
             fin = spec.fold_column(None if col is None else col[mask], w[mask])
-            fin = spec.merge(fin, spec.repeat(self.el_slots[i], first_ends))
-            self.final_slots[i] = spec.merge(self.final_slots[i], fin)
+            fin = spec.merge(fin, spec.repeat(self.el[i], first_ends))
+            self.final[i] = spec.merge(self.final[i], fin)
             if matched:
                 m = mask[lo:]
                 slot = spec.fold_column(None if col is None else col[lo:][m], count[lo:][m])
                 # With no segment start, the whole chunk extends e_l's trends.
-                el_slots.append(slot if len(starts) else spec.merge(self.el_slots[i], slot))
+                el.append(slot if len(starts) else spec.merge(self.el[i], slot))
         if matched:
-            self.el_type, self.el_attrs = sub.etype[-1], sub.attrs_at(n - 1)
-            self.el_count, self.el_slots = int(count[-1]), el_slots
+            self.el_type, self.el_attrs, self.el = sub.etype[-1], sub.attrs_at(n - 1), el
         else:
-            self._reset_partials()
+            self.el_type, self.el_attrs, self.el = None, {}, new_node(self.specs, 0)
 
     def result(self) -> dict:
         """Finalized aggregates (Line 10)."""
-        return finalize_slots(self.specs, self.final_slots, self.final_count)
+        return finalize(self.specs, self.final)

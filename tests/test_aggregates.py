@@ -1,4 +1,6 @@
 """Table-8 aggregate algebra unit tests (paper Sections 2.3 and 8)."""
+import random
+
 import pytest
 
 from repro.core.aggregates import (
@@ -8,10 +10,10 @@ from repro.core.aggregates import (
     Max,
     Min,
     Sum,
-    apply_event_slots,
-    finalize_slots,
-    init_slots,
-    merge_slots,
+    absorb,
+    extend,
+    finalize,
+    new_node,
 )
 
 
@@ -95,22 +97,72 @@ class TestAvg:
         assert s.finalize(s.init_val(), 0) is None
 
 
-class TestSlotHelpers:
+class TestNodeHelpers:
     SPECS = (Count(), CountType("A"), Min("A", "v"), Sum("A", "v"))
 
-    def test_init(self):
-        assert init_slots(self.SPECS) == [0, 0, None, (0, 0)]
+    def test_new_node(self):
+        assert new_node(self.SPECS, 3) == [3, 0, 0, None, (0, 0)]
 
-    def test_merge_in_place(self):
-        a = [0, 1, 5, (2, 0)]
-        merge_slots(self.SPECS, a, [0, 2, 3, (4, 0)])
-        assert a == [0, 3, 3, (6, 0)]
+    def test_absorb_in_place(self):
+        a = [2, 0, 1, 5, (2, 0)]
+        absorb(self.SPECS, a, [4, 0, 2, 3, (4, 0)])
+        assert a == [6, 0, 3, 3, (6, 0)]
 
-    def test_apply_event(self):
-        slots = [0, 1, None, (2, 0)]
-        apply_event_slots(self.SPECS, slots, "A", {"v": 7}, 3)
-        assert slots == [0, 4, 7, (23, 0)]
+    def test_extend_by_node_count(self):
+        node = [3, 0, 1, None, (2, 0)]
+        extend(self.SPECS, node, "A", {"v": 7})
+        assert node == [3, 0, 4, 7, (23, 0)]
 
     def test_finalize_names(self):
-        out = finalize_slots(self.SPECS, [0, 4, 7, (23, 0)], 9)
+        out = finalize(self.SPECS, [9, 0, 4, 7, (23, 0)])
         assert out == {"count_star": 9, "count_A": 4, "min_A_v": 7, "sum_A_v": 23}
+
+
+class TestNodeLaws:
+    """The laws the kernels rely on when they merge predecessor nodes in
+    any order and extend the merged node once, checked with ``==`` on
+    random nodes built by ``extend`` and ``absorb``."""
+
+    SPECS = (Count(), CountType("A"), CountType("B"), Min("A", "v"), Max("A", "v"),
+             Min("B", "v"), Max("B", "v"), Sum("A", "v"), Avg("B", "v"))
+    VALUES = {
+        "int": lambda rng: rng.randint(-50, 50),
+        "quarter": lambda rng: rng.randint(-400, 400) / 4,
+        "uniform": lambda rng: rng.uniform(-1e3, 1e3),
+        "beyond-int64": lambda rng: rng.choice((1, -1)) * (2**63 + rng.randint(0, 2**70)),
+    }
+
+    def plus(self, a, b):
+        out = list(a)
+        absorb(self.SPECS, out, b)
+        return out
+
+    def ext(self, node, event):
+        out = list(node)
+        extend(self.SPECS, out, *event)
+        return out
+
+    def event(self, rng, value):
+        return rng.choice("ABC"), {"v": value(rng)}
+
+    def node(self, rng, value, depth=2):
+        node = new_node(self.SPECS, rng.randint(0, 3))
+        for _ in range(rng.randint(0, 4)):
+            if depth and rng.random() < 0.3:
+                node = self.plus(node, self.node(rng, value, depth - 1))
+            else:
+                node = self.ext(node, self.event(rng, value))
+        return node
+
+    @pytest.mark.parametrize("kind", list(VALUES))
+    def test_laws(self, kind):
+        value = self.VALUES[kind]
+        zero = new_node(self.SPECS, 0)
+        for seed in range(50):
+            rng = random.Random(seed)
+            a, b, c = (self.node(rng, value) for _ in range(3))
+            e = self.event(rng, value)
+            assert self.plus(a, zero) == self.plus(zero, a) == a
+            assert self.plus(a, b) == self.plus(b, a)
+            assert self.plus(self.plus(a, b), c) == self.plus(a, self.plus(b, c))
+            assert self.ext(self.plus(a, b), e) == self.plus(self.ext(a, e), self.ext(b, e))

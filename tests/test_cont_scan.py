@@ -24,10 +24,11 @@ from repro.core.aggregates import (
     Max,
     Min,
     Sum,
-    apply_event_slots,
+    absorb,
     check_domain,
-    finalize_slots,
-    init_slots,
+    extend,
+    finalize,
+    new_node,
 )
 from repro.core.events import Event, Substream
 from repro.core.executor import check_substream, make_aggregator
@@ -54,8 +55,8 @@ def row_fold(events, cq) -> dict:
     """Algorithm 3 under CONT, one event at a time (Lines 1-10)."""
     specs, preds = cq.specs, cq.adjacent_predicates
     an = cq.analysis
-    el_type, el_attrs, el_count, el_slots = None, {}, 0, init_slots(specs)
-    final_count, final_slots = 0, init_slots(specs)
+    el_type, el_attrs, el = None, {}, new_node(specs, 0)
+    final = new_node(specs, 0)
     for e in events:
         adjacent = (
             e.etype in an.pred_types
@@ -64,16 +65,15 @@ def row_fold(events, cq) -> dict:
             and adjacency_holds(preds, el_type, el_attrs, e.etype, e.attrs)
         )
         if e.etype == an.start or adjacent:
-            count = (e.etype == an.start) + (el_count if adjacent else 0)
-            slots = list(el_slots) if adjacent else init_slots(specs)
-            apply_event_slots(specs, slots, e.etype, e.attrs, count)
+            node = list(el) if adjacent else new_node(specs, 0)
+            node[0] += e.etype == an.start
+            extend(specs, node, e.etype, e.attrs)
             if e.etype == an.end:
-                final_count += count
-                final_slots = [s.merge(a, b) for s, a, b in zip(specs, final_slots, slots)]
-            el_type, el_attrs, el_count, el_slots = e.etype, e.attrs, count, slots
+                absorb(specs, final, node)
+            el_type, el_attrs, el = e.etype, e.attrs, node
         else:  # unmatched or irrelevant: invalidate the partial trends
-            el_type, el_attrs, el_count, el_slots = None, {}, 0, init_slots(specs)
-    return finalize_slots(specs, final_slots, final_count)
+            el_type, el_attrs, el = None, {}, new_node(specs, 0)
+    return finalize(specs, final)
 
 
 def per_event(events, cq) -> dict:
@@ -321,8 +321,8 @@ def test_update_is_the_scan_of_one_event():
     assert all(c is None or c > 0 for c in counts)
     whole = make_aggregator(cq)
     whole.fold(Substream.from_events(events, cq.attr_cols))
-    assert (agg.el_type, agg.el_attrs, agg.el_count, agg.el_slots, agg.final_count) == (
-        whole.el_type, whole.el_attrs, whole.el_count, whole.el_slots, whole.final_count)
+    assert (agg.el_type, agg.el_attrs, agg.el, agg.final[0]) == (
+        whole.el_type, whole.el_attrs, whole.el, whole.final[0])
     assert agg.result() == whole.result() == row_fold(events, cq)
 
 

@@ -121,7 +121,7 @@ class TestTable7PatternGrained:
     """Table 7: NEXT (bold) final 8, CONT (italics) final 2; c5 resets the
     last matched event under CONT only."""
 
-    EXPECTED_NEXT = [  # (etype, el_count, final_count) after each event
+    EXPECTED_NEXT = [  # (etype, e_l.count, final count) after each event
         ("A", 1, 0), ("B", 1, 1), ("A", 2, 1), ("A", 3, 1),
         ("C", 3, 1), ("B", 3, 4), ("A", 4, 4), ("B", 4, 8),
     ]
@@ -137,10 +137,10 @@ class TestTable7PatternGrained:
     def test_trace(self, semantics, expected, final):
         cq = Query(pattern=PATTERN, semantics=semantics).compile()
         assert cq.granularity is Granularity.PATTERN
-        # Every arriving event, matched or not: the last matched event's
-        # count and the final count.
+        # Every arriving event, matched or not: the count of the last
+        # matched event's node, agg.el[0], and the final count.
         got, agg = trace(cq, fig2_stream(),
-                         lambda e, _, agg: (e.etype, agg.el_count, final_count(agg)))
+                         lambda e, _, agg: (e.etype, agg.el[0], final_count(agg)))
         assert got == expected
         assert final_count(agg) == final
 
